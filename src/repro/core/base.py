@@ -14,6 +14,8 @@ this module:
 * :class:`ReachabilityIndex` — plain indexes (§3).  ``lookup`` is the raw
   index probe; ``query`` is always exact, falling back to *guided
   traversal* that recursively consults the index to prune (the §5 rules).
+  That decision procedure is written once, in ``_routed_answer``:
+  ``query`` returns its answer, ``explain`` formats its route.
 * :class:`LabelConstrainedIndex` — path-constrained indexes (§4), same
   split between ``lookup`` and exact ``query``.
 """
@@ -167,8 +169,8 @@ class SetExplanation:
       boundary summary graph (Sharded).
 
     The SCC-condensation wrapper expands the inner DAG answer through
-    the SCC map and reports the *inner* route, mirroring how
-    :meth:`CondensedIndex.explain` delegates pair queries.
+    the SCC map and reports the *inner* route, mirroring how its routed
+    pair evaluator delegates cross-SCC queries.
     """
 
     index: str
@@ -245,22 +247,6 @@ class SizeReport:
             f"({self.bytes_per_entry:.1f} B/entry) over "
             f"|V|={self.graph_vertices:,} |E|={self.graph_edges:,}"
         )
-
-
-def _size_report_of(index) -> SizeReport:
-    """The shared ``size_report`` implementation for both base classes."""
-    from repro import accel
-    from repro.persistence import serialized_size_bytes
-
-    graph = index.graph
-    return SizeReport(
-        index=index.metadata.name,
-        entries=index.size_in_entries(),
-        estimated_bytes=serialized_size_bytes(index, include_graph=False),
-        graph_vertices=graph.num_vertices,
-        graph_edges=graph.num_edges,
-        backend=accel.backend_name(),
-    )
 
 
 def _instrumented_build(raw: classmethod) -> classmethod:
@@ -395,19 +381,15 @@ def guided_query_bidirectional(
     return False
 
 
-class ReachabilityIndex(ABC):
-    """Abstract base for plain reachability indexes (§3).
+class _IndexBase(ABC):
+    """What plain and path-constrained indexes share verbatim.
 
-    Subclasses set the class attribute :attr:`metadata` and implement
-    :meth:`build`, :meth:`lookup` and :meth:`size_in_entries`.  ``query`` is
-    exact for every index: complete indexes answer from ``lookup`` alone,
-    partial ones fall back to guided traversal.
+    Build instrumentation, size accounting, pair validation and the
+    concurrency-safe pickling state; the two public bases below add
+    their own query surfaces on top.
     """
 
     metadata: ClassVar[IndexMetadata]
-
-    def __init__(self, graph: DiGraph) -> None:
-        self._graph = graph
 
     def __init_subclass__(cls, **kwargs: object) -> None:
         """Instrument every concrete ``build`` with per-phase observation."""
@@ -417,6 +399,79 @@ class ReachabilityIndex(ABC):
             raw.__func__, "_obs_wrapped", False
         ):
             cls.build = _instrumented_build(raw)
+
+    @property
+    def build_report(self):
+        """The :class:`~repro.obs.build.BuildReport` of this build, or None.
+
+        Attached by the automatic build instrumentation; absent only on
+        instances constructed directly through ``__init__``.
+        """
+        return getattr(self, "_build_report", None)
+
+    @abstractmethod
+    def size_in_entries(self) -> int:
+        """Index size in label/interval/word entries (the survey's metric)."""
+
+    def estimated_bytes(self) -> int:
+        """Serialized index payload in bytes, the indexed graph excluded.
+
+        The concrete counterpart of :meth:`size_in_entries` — the number
+        a size budget (FERRARI-style index-size restriction) is stated
+        in.  Uniform across every family: measured from the pickled
+        instance minus the graph's own representation.
+        """
+        from repro.persistence import serialized_size_bytes
+
+        return serialized_size_bytes(self, include_graph=False)
+
+    def size_report(self) -> SizeReport:
+        """Both size metrics (entries and bytes) as one uniform report."""
+        from repro import accel
+
+        graph = self.graph
+        return SizeReport(
+            index=self.metadata.name,
+            entries=self.size_in_entries(),
+            estimated_bytes=self.estimated_bytes(),
+            graph_vertices=graph.num_vertices,
+            graph_edges=graph.num_edges,
+            backend=accel.backend_name(),
+        )
+
+    def _check_query(self, source: int, target: int) -> None:
+        n = self._graph.num_vertices
+        if not (0 <= source < n and 0 <= target < n):
+            raise QueryError(
+                f"query ({source}, {target}) out of range for |V|={n}"
+            )
+
+    def __getstate__(self) -> dict[str, object]:
+        """State for pickling/deep-copying, safe under concurrent queries."""
+        return _state_without_query_caches(self)
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__name__}(|V|={self._graph.num_vertices}, "
+            f"entries={self.size_in_entries()})"
+        )
+
+
+class ReachabilityIndex(_IndexBase):
+    """Abstract base for plain reachability indexes (§3).
+
+    Subclasses set the class attribute :attr:`metadata` and implement
+    :meth:`build`, :meth:`lookup` and :meth:`size_in_entries`.  ``query`` is
+    exact for every index: complete indexes answer from ``lookup`` alone,
+    partial ones fall back to guided traversal.
+    """
+
+    #: Span/counter namespace of :meth:`query` (``index.query``,
+    #: ``index.route.*``); the sharded composition keeps its own.
+    _obs_namespace: ClassVar[str] = "index"
+
+    def __init__(self, graph: DiGraph) -> None:
+        self._graph = graph
 
     # -- construction ---------------------------------------------------
     @classmethod
@@ -428,15 +483,6 @@ class ReachabilityIndex(ABC):
         input; wrap them with :func:`repro.core.condensed.condense_for` for
         general graphs.
         """
-
-    @property
-    def build_report(self):
-        """The :class:`~repro.obs.build.BuildReport` of this build, or None.
-
-        Attached by the automatic build instrumentation; absent only on
-        instances constructed directly through ``__init__``.
-        """
-        return getattr(self, "_build_report", None)
 
     # -- probing --------------------------------------------------------
     @abstractmethod
@@ -507,32 +553,46 @@ class ReachabilityIndex(ABC):
         return answers
 
     def query(self, source: int, target: int) -> bool:
-        """Exact reachability answer."""
-        self._check_query(source, target)
-        if TRACER.enabled:
-            return self._query_observed(source, target)
-        if source == target:
-            return True
-        if self.metadata.complete:
-            result = self.lookup(source, target)
-            if result is TriState.MAYBE:
-                raise QueryError(
-                    f"{type(self).__name__} is complete but answered MAYBE"
-                )
-            return result is TriState.YES
-        return guided_query(self._graph, self, source, target)
+        """Exact reachability answer: the routed evaluator's, nothing else.
 
-    # -- observability ---------------------------------------------------
+        With the tracer on, the evaluation is wrapped in one
+        ``<namespace>.query`` span and bumps ``<namespace>.route.<route>``
+        once; with it off, no span and no counter.
+        """
+        # _check_query, inline: the frame it saves pays for the evaluator's.
+        n = self._graph.num_vertices
+        if not (0 <= source < n and 0 <= target < n):
+            raise QueryError(
+                f"query ({source}, {target}) out of range for |V|={n}"
+            )
+        if not TRACER.enabled:
+            return self._routed_answer(source, target)[0]
+        namespace = self._obs_namespace
+        with TRACER.span(
+            f"{namespace}.query",
+            index=self.metadata.name,
+            source=source,
+            target=target,
+        ) as span:
+            answer, route, _probe = self._routed_answer(source, target)
+            span.annotate(route=route, answer=answer)
+            global_registry().counter(f"{namespace}.route.{route}").increment()
+            return answer
+
+    # -- the routed evaluator ----------------------------------------------
     def _routed_answer(
         self, source: int, target: int
     ) -> tuple[bool, str, TriState | None]:
-        """Answer plus routing attribution; shared by explain and tracing.
+        """The one pair evaluator: ``(answer, route, probe)``.
 
-        The routes (and their exactness argument) mirror :meth:`query`:
-        complete indexes answer from the probe alone, partial ones trust
-        YES/NO certificates and fall back to index-guided traversal on
-        MAYBE.  ``explain`` and the traced query path both call this,
-        which is what guarantees explain-vs-query agreement.
+        The survey's §5 decision procedure, written once: complete
+        indexes answer from the probe alone, partial ones trust YES/NO
+        certificates and fall back to index-guided traversal on MAYBE.
+        :meth:`query` returns its answer and :meth:`explain` formats its
+        result, so the two agree by construction.  Wrappers
+        (condensation, sharding) override this and its formatter
+        :meth:`_route_details`, never ``query``/``explain``; callers
+        have validated the pair.
         """
         if source == target:
             return True, "trivial", None
@@ -553,16 +613,6 @@ class ReachabilityIndex(ABC):
             probe,
         )
 
-    def _query_observed(self, source: int, target: int) -> bool:
-        """The traced scalar query path (tracer enabled only)."""
-        with TRACER.span(
-            "index.query", index=self.metadata.name, source=source, target=target
-        ) as span:
-            answer, route, _probe = self._routed_answer(source, target)
-            span.annotate(route=route, answer=answer)
-            global_registry().counter(f"index.route.{route}").increment()
-            return answer
-
     def _record_batch_routes(self, total: int, swept: int) -> None:
         """Attribute one ``query_batch`` call's pairs to their routes."""
         registry = global_registry()
@@ -576,9 +626,9 @@ class ReachabilityIndex(ABC):
     def explain(self, source: int, target: int) -> Explanation:
         """The routed decision path of ``query(source, target)``.
 
-        Always agrees with :meth:`query` (both trust the same probe and
-        fall back to the same exact traversal); unlike ``query`` it is
-        not gated on the tracer — explaining is an explicit request.
+        A formatter over the same :meth:`_routed_answer` result
+        :meth:`query` returns; unlike ``query`` it emits no span and
+        bumps no counter — explaining is an explicit request.
         """
         self._check_query(source, target)
         answer, route, probe = self._routed_answer(source, target)
@@ -589,10 +639,13 @@ class ReachabilityIndex(ABC):
             answer=answer,
             route=route,
             probe=probe,
-            details=self._route_details(route, probe),
+            details=self._route_details(source, target, route, probe),
         )
 
-    def _route_details(self, route: str, probe: TriState | None) -> tuple[str, ...]:
+    def _route_details(
+        self, source: int, target: int, route: str, probe: TriState | None
+    ) -> tuple[str, ...]:
+        """Prose for the route that decided (``explain``'s formatter)."""
         meta = self.metadata
         if route == "trivial":
             return ("source equals target: reachable by the empty path",)
@@ -718,27 +771,6 @@ class ReachabilityIndex(ABC):
         """
         return None
 
-    # -- accounting -----------------------------------------------------
-    @abstractmethod
-    def size_in_entries(self) -> int:
-        """Index size in label/interval/word entries (the survey's metric)."""
-
-    def estimated_bytes(self) -> int:
-        """Serialized index payload in bytes, the indexed graph excluded.
-
-        The concrete counterpart of :meth:`size_in_entries` — the number
-        a size budget (FERRARI-style index-size restriction) is stated
-        in.  Uniform across every family: measured from the pickled
-        instance minus the graph's own representation.
-        """
-        from repro.persistence import serialized_size_bytes
-
-        return serialized_size_bytes(self, include_graph=False)
-
-    def size_report(self) -> SizeReport:
-        """Both size metrics (entries and bytes) as one uniform report."""
-        return _size_report_of(self)
-
     @property
     def graph(self) -> DiGraph:
         """The indexed graph (mutated in place by dynamic indexes)."""
@@ -758,13 +790,6 @@ class ReachabilityIndex(ABC):
         )
 
     # -- helpers ----------------------------------------------------------
-    def _check_query(self, source: int, target: int) -> None:
-        n = self._graph.num_vertices
-        if not (0 <= source < n and 0 <= target < n):
-            raise QueryError(
-                f"query ({source}, {target}) out of range for |V|={n}"
-            )
-
     def _check_vertex(self, vertex: int) -> None:
         n = self._graph.num_vertices
         if not 0 <= vertex < n:
@@ -778,16 +803,6 @@ class ReachabilityIndex(ABC):
                 raise QueryError(
                     f"query ({source}, {target}) out of range for |V|={n}"
                 )
-
-    def __getstate__(self) -> dict[str, object]:
-        """State for pickling/deep-copying, safe under concurrent queries."""
-        return _state_without_query_caches(self)
-
-    def __repr__(self) -> str:
-        return (
-            f"{type(self).__name__}(|V|={self._graph.num_vertices}, "
-            f"entries={self.size_in_entries()})"
-        )
 
 
 def _state_without_query_caches(index: object) -> dict[str, object]:
@@ -814,7 +829,7 @@ def _state_without_query_caches(index: object) -> dict[str, object]:
     return state
 
 
-class LabelConstrainedIndex(ABC):
+class LabelConstrainedIndex(_IndexBase):
     """Abstract base for path-constrained reachability indexes (§4).
 
     ``query(s, t, constraint)`` takes the constraint as surface syntax or a
@@ -824,47 +839,17 @@ class LabelConstrainedIndex(ABC):
     :class:`~repro.errors.UnsupportedConstraintError` otherwise.
     """
 
-    metadata: ClassVar[IndexMetadata]
-
     def __init__(self, graph: LabeledDiGraph) -> None:
         self._graph = graph
-
-    def __init_subclass__(cls, **kwargs: object) -> None:
-        """Instrument every concrete ``build`` with per-phase observation."""
-        super().__init_subclass__(**kwargs)
-        raw = cls.__dict__.get("build")
-        if isinstance(raw, classmethod) and not getattr(
-            raw.__func__, "_obs_wrapped", False
-        ):
-            cls.build = _instrumented_build(raw)
 
     @classmethod
     @abstractmethod
     def build(cls, graph: LabeledDiGraph, **params: object) -> "LabelConstrainedIndex":
         """Construct the index over the labeled graph."""
 
-    @property
-    def build_report(self):
-        """The :class:`~repro.obs.build.BuildReport` of this build, or None."""
-        return getattr(self, "_build_report", None)
-
     @abstractmethod
     def query(self, source: int, target: int, constraint: str | RegexNode) -> bool:
         """Exact path-constrained reachability answer."""
-
-    @abstractmethod
-    def size_in_entries(self) -> int:
-        """Index size in label entries."""
-
-    def estimated_bytes(self) -> int:
-        """Serialized index payload in bytes, the indexed graph excluded."""
-        from repro.persistence import serialized_size_bytes
-
-        return serialized_size_bytes(self, include_graph=False)
-
-    def size_report(self) -> SizeReport:
-        """Both size metrics (entries and bytes) as one uniform report."""
-        return _size_report_of(self)
 
     @property
     def graph(self) -> LabeledDiGraph:
@@ -881,21 +866,4 @@ class LabelConstrainedIndex(ABC):
         """Delete a labeled edge and maintain the index (dynamic only)."""
         raise UnsupportedOperationError(
             f"{self.metadata.name} does not support edge deletion"
-        )
-
-    def _check_query(self, source: int, target: int) -> None:
-        n = self._graph.num_vertices
-        if not (0 <= source < n and 0 <= target < n):
-            raise QueryError(
-                f"query ({source}, {target}) out of range for |V|={n}"
-            )
-
-    def __getstate__(self) -> dict[str, object]:
-        """State for pickling/deep-copying, safe under concurrent queries."""
-        return _state_without_query_caches(self)
-
-    def __repr__(self) -> str:
-        return (
-            f"{type(self).__name__}(|V|={self._graph.num_vertices}, "
-            f"entries={self.size_in_entries()})"
         )

@@ -14,12 +14,10 @@ import dataclasses
 from collections.abc import Sequence
 from typing import ClassVar
 
-from repro.core.base import Explanation, IndexMetadata, ReachabilityIndex, TriState
+from repro.core.base import IndexMetadata, ReachabilityIndex, TriState
 from repro.graphs.digraph import DiGraph
 from repro.graphs.scc import Condensation, condense
 from repro.obs.build import build_phase
-from repro.obs.metrics import global_registry
-from repro.obs.tracer import TRACER
 
 __all__ = ["CondensedIndex"]
 
@@ -105,47 +103,28 @@ class CondensedIndex(ReachabilityIndex):
         yes = TriState.YES
         return [yes if cs == ct else next(inner) for cs, ct in condensed]
 
-    def query(self, source: int, target: int) -> bool:
-        self._check_query(source, target)
-        cs = self._condensation.scc_of[source]
-        ct = self._condensation.scc_of[target]
+    def _routed_answer(
+        self, source: int, target: int
+    ) -> tuple[bool, str, TriState | None]:
+        """Same-SCC pairs decide here; the rest is the inner DAG index's
+        own evaluator over the condensation."""
+        scc_of = self._condensation.scc_of
+        cs, ct = scc_of[source], scc_of[target]
         if cs == ct:
-            if TRACER.enabled:
-                global_registry().counter("index.route.same_scc").increment()
-            return True
-        # Cross-SCC: the inner DAG index attributes its own route.
-        return self._inner.query(cs, ct)
+            return True, "same_scc", TriState.YES
+        return self._inner._routed_answer(cs, ct)
 
-    def explain(self, source: int, target: int) -> Explanation:
-        """The decision path through the SCC map and the inner DAG index."""
-        self._check_query(source, target)
-        cs = self._condensation.scc_of[source]
-        ct = self._condensation.scc_of[target]
-        if cs == ct:
-            return Explanation(
-                index=self.metadata.name,
-                source=source,
-                target=target,
-                answer=True,
-                route="same_scc",
-                probe=TriState.YES,
-                details=(
-                    f"both vertices collapse into SCC {cs}: mutually reachable",
-                ),
-            )
-        inner = self._inner.explain(cs, ct)
-        return Explanation(
-            index=self.metadata.name,
-            source=source,
-            target=target,
-            answer=inner.answer,
-            route=inner.route,
-            probe=inner.probe,
-            details=(
-                f"condensed: scc({source})={cs}, scc({target})={ct}; "
-                f"delegated to {inner.index} over the condensation DAG",
-                *inner.details,
-            ),
+    def _route_details(
+        self, source: int, target: int, route: str, probe: TriState | None
+    ) -> tuple[str, ...]:
+        scc_of = self._condensation.scc_of
+        cs, ct = scc_of[source], scc_of[target]
+        if route == "same_scc":
+            return (f"both vertices collapse into SCC {cs}: mutually reachable",)
+        return (
+            f"condensed: scc({source})={cs}, scc({target})={ct}; delegated "
+            f"to {self._inner.metadata.name} over the condensation DAG",
+            *self._inner._route_details(cs, ct, route, probe),
         )
 
     def query_batch(self, pairs: Sequence[tuple[int, int]]) -> list[bool]:

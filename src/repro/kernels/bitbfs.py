@@ -53,9 +53,9 @@ __all__ = [
 #: per-vertex masks dense and the OR cost per edge predictable.
 WORD_BITS = 1024
 
-#: Vertices swept between deadline checkpoints.  The clock read amortises
-#: to noise at this stride, and the no-deadline sweep never pays it — the
-#: tight loop is kept branch-free when no deadline is installed.
+#: Vertices swept between deadline checkpoints.  One loop serves both
+#: cases: the clock read (deadline installed) and the ``is None`` test
+#: (none installed) each amortise to noise at this stride.
 _SWEEP_STRIDE = 4096
 
 
@@ -70,28 +70,21 @@ def _propagate(
 
     Cooperative cancellation: when an ambient deadline is installed the
     DAG sweep checkpoints every :data:`_SWEEP_STRIDE` vertices and the
-    frontier sweep once per round; with no deadline the original tight
-    loops run unchanged.
+    frontier sweep once per round.
     """
     deadline = current_deadline()
     masks = [0] * n
     for slot, s in enumerate(sources):
         masks[s] |= 1 << slot
     if topo is not None:
-        if deadline is None:
-            for v in topo:
+        for base in range(0, len(topo), _SWEEP_STRIDE):
+            if deadline is not None:
+                deadline.check()
+            for v in topo[base : base + _SWEEP_STRIDE]:
                 m = masks[v]
                 if m:
                     for w in indices[indptr[v] : indptr[v + 1]]:
                         masks[w] |= m
-        else:
-            for base in range(0, len(topo), _SWEEP_STRIDE):
-                deadline.check()
-                for v in topo[base : base + _SWEEP_STRIDE]:
-                    m = masks[v]
-                    if m:
-                        for w in indices[indptr[v] : indptr[v + 1]]:
-                            masks[w] |= m
         return masks
     frontier: dict[int, int] = {}
     for slot, s in enumerate(sources):

@@ -18,9 +18,8 @@ bounded-memory ring of time slices adds :meth:`LatencyHistogram.window`
 the SLO burn-rate tracker in :mod:`repro.slo` evaluates — and
 :meth:`LatencyHistogram.merge` for cross-instance aggregation.
 
-Originally ``repro.service.metrics``; promoted to the cross-cutting
-``repro.obs`` layer so the index core and the GDBMS planner can meter
-without importing the serving tier.  Alongside per-instance registries
+Lives in the cross-cutting ``repro.obs`` layer so the index core and
+the GDBMS planner can meter without importing the serving tier.  Alongside per-instance registries
 (each :class:`~repro.service.engine.ReachabilityService` owns one),
 :func:`global_registry` is the process-wide registry the index core's
 route-attribution counters and the planner's routing tallies land in.

@@ -18,8 +18,8 @@ Durability (format v2):
   everything before it; :func:`load_index` verifies the digest *before*
   unpickling and raises :class:`PersistenceError` with the path and the
   expected/actual digests instead of decoding garbage.
-* **Legacy files** — v1 files (no footer) still load, with a
-  :class:`UserWarning` that they carry no integrity check.
+* **One format** — the pre-checksum v1 layout is no longer read; a v1
+  file raises :class:`PersistenceError` naming its version.
 
 ``persistence.read`` is a chaos injection point: an installed
 :class:`~repro.resilience.ChaosPolicy` can corrupt or fail the raw read,
@@ -35,7 +35,6 @@ import io
 import os
 import pickle
 import tempfile
-import warnings
 from pathlib import Path
 
 from repro.core.base import LabelConstrainedIndex, ReachabilityIndex
@@ -54,7 +53,6 @@ __all__ = [
 
 _MAGIC = b"REPRO-INDEX"
 _VERSION = 2
-_LEGACY_VERSION = 1
 _FOOTER_MAGIC = b"REPROSUM"
 _DIGEST_BYTES = hashlib.sha256().digest_size
 _FOOTER_BYTES = len(_FOOTER_MAGIC) + _DIGEST_BYTES
@@ -164,10 +162,9 @@ def _read_header(source: io.BufferedIOBase) -> tuple[str, int]:
     if magic != _MAGIC:
         raise PersistenceError("not a repro index file (bad magic)")
     version = int.from_bytes(source.read(2), "big")
-    if version not in (_LEGACY_VERSION, _VERSION):
+    if version != _VERSION:
         raise PersistenceError(
-            f"unsupported index-file version {version} "
-            f"(supported: {_LEGACY_VERSION}, {_VERSION})"
+            f"unsupported index-file version {version} (supported: {_VERSION})"
         )
     name_len = int.from_bytes(source.read(2), "big")
     return source.read(name_len).decode(), version
@@ -201,44 +198,17 @@ def serialized_size_bytes(
 def load_index(path: str | Path) -> ReachabilityIndex | LabelConstrainedIndex:
     """Load an index previously written by :func:`save_index`.
 
-    v2 files verify the checksum footer before any unpickling; a
-    mismatch (torn write, bit rot, injected corruption) raises
+    The header is checked first (bad magic and unsupported versions —
+    the unchecksummed v1 layout included — fail fast and typed), then
+    the checksum footer is verified before any unpickling; a mismatch
+    (torn write, bit rot, injected corruption) raises
     :class:`PersistenceError` carrying the path and both digests.
-    Legacy v1 files load with a warning that no integrity check exists.
     """
     path = Path(path)
     with open(path, "rb") as source:
-        data = source.read()
-    data = chaos_point("persistence.read", data)
-    header = io.BytesIO(data)
-    _, version = _read_header(header)
-    payload_start = header.tell()
-    if version == _LEGACY_VERSION:
-        warnings.warn(
-            f"{path}: legacy v1 index file has no checksum; "
-            "re-save it to gain corruption detection",
-            UserWarning,
-            stacklevel=2,
-        )
-        payload = data[payload_start:]
-    else:
-        if len(data) < payload_start + _FOOTER_BYTES:
-            raise PersistenceError(
-                f"{path}: truncated index file (checksum footer missing)"
-            )
-        footer_at = len(data) - _FOOTER_BYTES
-        if data[footer_at : footer_at + len(_FOOTER_MAGIC)] != _FOOTER_MAGIC:
-            raise PersistenceError(
-                f"{path}: truncated index file (checksum footer missing)"
-            )
-        expected = data[footer_at + len(_FOOTER_MAGIC) :]
-        actual = hashlib.sha256(data[:footer_at]).digest()
-        if actual != expected:
-            raise PersistenceError(
-                f"{path}: checksum mismatch — the file is corrupt "
-                f"(expected sha256 {expected.hex()}, got {actual.hex()})"
-            )
-        payload = data[payload_start:footer_at]
+        _read_header(source)
+        payload_start = source.tell()
+    payload = read_checksummed_blob(path, chaos="persistence.read")[payload_start:]
     try:
         index = pickle.loads(payload)
     except Exception as exc:

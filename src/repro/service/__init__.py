@@ -27,6 +27,12 @@ against the BFS oracle; ``/metrics?format=openmetrics`` and ``/slo``
 expose it all.
 """
 
+from repro.obs.metrics import (
+    Counter,
+    LatencyHistogram,
+    MetricsRegistry,
+    default_latency_buckets,
+)
 from repro.service.admission import AdmissionController
 from repro.service.advisor import AdvisorLoop
 from repro.service.batching import QueryCoalescer, dedupe
@@ -37,12 +43,6 @@ from repro.service.engine import (
     QueryResult,
     ReachabilityService,
     Snapshot,
-)
-from repro.service.metrics import (
-    Counter,
-    LatencyHistogram,
-    MetricsRegistry,
-    default_latency_buckets,
 )
 
 __all__ = [

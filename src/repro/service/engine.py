@@ -21,7 +21,7 @@ separates the two concerns with copy-on-write snapshots:
 In front of the index sits an epoch-tagged LRU result cache
 (:mod:`repro.service.cache`) and an in-flight request coalescer
 (:mod:`repro.service.batching`); every answer is tallied per route in a
-:class:`~repro.service.metrics.MetricsRegistry`.  Constraint routing
+:class:`~repro.obs.metrics.MetricsRegistry`.  Constraint routing
 reuses :func:`repro.gdbms.planner.classify_constraint` — the planner's
 §5 dispatch decision is the service's routing brain.
 """
@@ -35,7 +35,7 @@ import threading
 import time
 from collections.abc import Sequence
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro import accel
 from repro.core.base import (
@@ -50,6 +50,7 @@ from repro.core.registry import plain_index as plain_index_cls
 from repro.errors import (
     DeadlineExceeded,
     GraphError,
+    NotADAGError,
     QueryError,
     ServiceError,
     UnsupportedOperationError,
@@ -66,7 +67,7 @@ from repro.service.batching import QueryCoalescer, dedupe
 from repro.service.cache import MISS, ResultCache
 from repro.traversal.online import bfs_reachable
 from repro.traversal.rpq import rpq_reachable
-from repro.workloads.updates import EdgeOp, LabeledEdgeOp
+from repro.workloads.updates import EdgeOp, LabeledEdgeOp, apply_op_rows
 
 _LOG = logging.getLogger("repro.service.engine")
 
@@ -198,9 +199,15 @@ class ReachabilityService:
         self._patch_audit_pairs = int(patch_audit_pairs)
         self._wal = None  # attach_wal: durable append-before-swap
         self._wal_applied_lsn: int | None = None
-        for route in ROUTES + DEGRADED_ROUTES:
-            self._metrics.counter(f"service.queries.{route}")
-            self._metrics.histogram(f"service.latency.{route}")
+        routes = ROUTES + DEGRADED_ROUTES
+        self._route_counters = {
+            route: self._metrics.counter(f"service.queries.{route}")
+            for route in routes
+        }
+        self._route_latency = {
+            route: self._metrics.histogram(f"service.latency.{route}")
+            for route in routes
+        }
         self._metrics.counter("service.unknowns")
         self._metrics.counter("service.batch.requests")
         self._metrics.counter("service.batch.pairs")
@@ -247,11 +254,17 @@ class ReachabilityService:
             return CondensedIndex.build(graph, inner=cls, **params)
         return cls.build(graph, **params)
 
-    def _labeled_snapshot(self, epoch: int, labeled: LabeledDiGraph) -> Snapshot:
-        """A fresh fully-rebuilt snapshot over ``labeled`` (writer-owned)."""
+    def _labeled_snapshot(
+        self,
+        epoch: int,
+        labeled: LabeledDiGraph,
+        constrained: LabelConstrainedIndex | None = None,
+    ) -> Snapshot:
+        """A snapshot over ``labeled`` (writer-owned): the plain projection
+        is rebuilt; the constrained index is ``constrained`` when the
+        writer patched one, else built fresh."""
         plain_view = labeled.to_plain()
-        constrained = None
-        if self._labeled_name is not None:
+        if constrained is None and self._labeled_name is not None:
             constrained = labeled_index_cls(self._labeled_name).build(labeled)
         return Snapshot(
             epoch=epoch,
@@ -380,8 +393,7 @@ class ReachabilityService:
 
     def reach_ex(self, source: int, target: int) -> QueryResult:
         """Plain reachability with epoch/route provenance."""
-        snap = self._snapshot
-        return self._serve(snap, (int(source), int(target), None))
+        return self._serve((int(source), int(target), None))
 
     def lreach(self, source: int, target: int, constraint: str) -> bool:
         """Path-constrained reachability at the current epoch."""
@@ -393,25 +405,7 @@ class ReachabilityService:
             raise ServiceError(
                 "constrained queries need a service built over a LabeledDiGraph"
             )
-        snap = self._snapshot
-        return self._serve(snap, (int(source), int(target), str(constraint)))
-
-    def batch(
-        self, queries: Sequence[tuple[int, int] | tuple[int, int, str | None]]
-    ) -> list[QueryResult]:
-        """Answer a batch against ONE snapshot, deduplicating within it.
-
-        Every result carries the same epoch: the whole batch is evaluated
-        against a single snapshot acquisition.
-        """
-        snap = self._snapshot
-        keys = [
-            (int(q[0]), int(q[1]), str(q[2]) if len(q) > 2 and q[2] is not None else None)
-            for q in queries
-        ]
-        unique, back_refs = dedupe(keys)
-        answered = [self._serve(snap, key) for key in unique]
-        return [answered[slot] for slot in back_refs]
+        return self._serve((int(source), int(target), str(constraint)))
 
     def reach_batch(self, pairs: Sequence[tuple[int, int]]) -> list[bool]:
         """Plain reachability for a batch of pairs at one epoch."""
@@ -422,236 +416,163 @@ class ReachabilityService:
     ) -> list[QueryResult]:
         """Answer a batch of plain pairs against ONE snapshot, amortised.
 
-        Unlike :meth:`batch`, which serves each unique key through the
-        scalar path, this probes the result cache per pair and then hands
-        *all* remaining misses to the index's ``query_batch`` in a single
-        call, so the bit-parallel kernels (shared traversal frontiers,
-        bound-once label merges) see the whole batch at once.  Every
-        result carries the same epoch.
+        The batch is deduplicated, the result cache probed per distinct
+        pair, and *all* remaining misses go to the index's
+        ``query_batch`` in a single call, so the bit-parallel kernels
+        (shared traversal frontiers, bound-once label merges) see the
+        whole batch at once.  Every result carries the same epoch.
         """
         start = time.perf_counter()
         snap = self._snapshot
         epoch = snap.epoch
         with TRACER.span("service.batch", epoch=epoch, pairs=len(pairs)) as span:
-            keys = [(int(s), int(t)) for s, t in pairs]
-            results: list[QueryResult | None] = [None] * len(keys)
-            cache = self._cache
-            auditor = self._auditor
-            cache_hits = 0
-            unknowns = 0
-            misses: list[int] = []
-            if cache is not None:
-                for position, (s, t) in enumerate(keys):
-                    hit = cache.get((s, t, None), epoch)
-                    if hit is not MISS:
-                        results[position] = QueryResult(bool(hit), epoch, "cache")
-                        cache_hits += 1
-                        if auditor is not None:
-                            auditor.offer(snap, s, t, bool(hit), "cache")
-                    else:
-                        misses.append(position)
-            else:
-                misses = list(range(len(keys)))
-            computed = 0
-            degraded_route: str | None = None
-            if misses and not self._breaker.allow():
-                # Breaker open: bounded per-pair probes, never the batch kernel.
-                degraded_route = "degraded"
-                for position in misses:
-                    s, t = keys[position]
-                    answer = self._degraded_probe(snap, (s, t, None))
-                    if answer is None:
-                        unknowns += 1
-                    results[position] = QueryResult(answer, epoch, "degraded")
-            elif misses:
-                unique, back_refs = dedupe([keys[i] for i in misses])
-                try:
-                    answers = snap.plain.query_batch(unique)
-                except DeadlineExceeded:
-                    # Budget expired mid-batch: cache hits already answered
-                    # stand; every unanswered pair is UNKNOWN, not a guess.
-                    degraded_route = "deadline_abort"
-                    global_registry().counter(
-                        "resilience.deadline.aborts"
-                    ).increment()
-                    for position in misses:
-                        results[position] = QueryResult(
-                            None, epoch, "deadline_abort"
-                        )
-                    unknowns += len(misses)
-                except (QueryError, ServiceError):
-                    raise
-                except Exception:
-                    self._breaker.record_failure()
-                    degraded_route = "degraded"
-                    for position in misses:
-                        s, t = keys[position]
-                        answer = self._degraded_probe(snap, (s, t, None))
-                        if answer is None:
-                            unknowns += 1
-                        results[position] = QueryResult(answer, epoch, "degraded")
-                else:
-                    self._breaker.record_success()
-                    computed = len(unique)
-                    if cache is not None:
-                        for (s, t), answer in zip(unique, answers):
-                            cache.put((s, t, None), epoch, answer)
-                    if auditor is not None:
-                        for (s, t), answer in zip(unique, answers):
-                            auditor.offer(snap, s, t, answer, "plain_index")
-                    for position, slot in zip(misses, back_refs):
-                        results[position] = QueryResult(
-                            answers[slot], epoch, "plain_index"
-                        )
-            if degraded_route is not None:
-                self._metrics.counter(
-                    f"service.queries.{degraded_route}"
-                ).increment(len(misses))
-            if unknowns:
-                self._metrics.counter("service.unknowns").increment(unknowns)
+            unique, back_refs = dedupe([(int(s), int(t), None) for s, t in pairs])
+            results = [
+                QueryResult(answer, epoch, route)
+                for answer, route, _ in self._read(snap, unique, self._evaluate_batch)
+            ]
+            cache_hits = sum(results[slot].route == "cache" for slot in back_refs)
+            computed = sum(result.route == "plain_index" for result in results)
             span.annotate(cache_hits=cache_hits, computed=computed)
-            self._metrics.counter("service.queries.cache").increment(cache_hits)
-            self._metrics.counter("service.queries.plain_index").increment(computed)
             self._metrics.counter("service.batch.requests").increment()
-            self._metrics.counter("service.batch.pairs").increment(len(keys))
+            self._metrics.counter("service.batch.pairs").increment(len(pairs))
             self._metrics.counter("service.batch.cache_hits").increment(cache_hits)
             self._metrics.counter("service.batch.computed").increment(computed)
-            self._metrics.histogram("service.batch.size").observe(float(len(keys)))
+            self._metrics.histogram("service.batch.size").observe(float(len(pairs)))
             self._metrics.histogram("service.batch.latency").observe(
                 time.perf_counter() - start
             )
-        return results  # type: ignore[return-value]
+        return [results[slot] for slot in back_refs]
 
     def explain(self, source: int, target: int) -> Explanation:
         """The routed decision path a plain query takes at this epoch.
 
-        Probes the result cache exactly as :meth:`reach_ex` would (route
-        ``cache`` on a hit) and otherwise delegates to the snapshot
-        index's own :meth:`~repro.core.base.ReachabilityIndex.explain`.
-        Does not populate the cache or bump route counters.
+        Runs the same guarded pipeline as :meth:`reach_ex` with the
+        index's own :meth:`~repro.core.base.ReachabilityIndex.explain`
+        as the evaluation step — so ``cache``, ``degraded`` and
+        ``deadline_abort`` are reported exactly when ``reach_ex`` would
+        take them — but populates no cache, bumps no route counter and
+        offers nothing to the auditor.
         """
         snap = self._snapshot
         s, t = int(source), int(target)
-        if self._cache is not None:
-            hit = self._cache.get((s, t, None), snap.epoch)
-            if hit is not MISS:
-                return Explanation(
-                    index=snap.plain.metadata.name,
-                    source=s,
-                    target=t,
-                    answer=bool(hit),
-                    route="cache",
-                    probe=None,
-                    details=(f"result cache hit at epoch {snap.epoch}",),
-                )
-        if not self._breaker.allow():
-            answer = self._degraded_probe(snap, (s, t, None))
-            return Explanation(
-                index=snap.plain.metadata.name,
-                source=s,
-                target=t,
-                answer=answer,
-                route="degraded",
-                probe=None,
-                details=(
-                    f"circuit breaker {self._breaker.state} — "
-                    "bounded label probe only, no traversal",
-                    f"served from snapshot epoch {snap.epoch}",
-                ),
+        [(answer, route, inner)] = self._read(
+            snap, ((s, t, None),), self._evaluate_explained, effects=False
+        )
+        served = f"served from snapshot epoch {snap.epoch}"
+        if inner is not None:
+            return replace(inner, details=(*inner.details, served))
+        if route == "cache":
+            details = (f"result cache hit at epoch {snap.epoch}",)
+        elif route == "degraded":
+            details = (
+                f"index unavailable (circuit breaker {self._breaker.state}) — "
+                "bounded label probe only, no traversal",
+                served,
             )
-        try:
-            inner = snap.plain.explain(s, t)
-        except DeadlineExceeded:
-            return Explanation(
-                index=snap.plain.metadata.name,
-                source=s,
-                target=t,
-                answer=None,
-                route="deadline_abort",
-                probe=None,
-                details=(
-                    "deadline expired mid-evaluation — answer UNKNOWN",
-                    f"served from snapshot epoch {snap.epoch}",
-                ),
-            )
+        else:
+            details = ("deadline expired mid-evaluation — answer UNKNOWN", served)
         return Explanation(
-            index=inner.index,
-            source=inner.source,
-            target=inner.target,
-            answer=inner.answer,
-            route=inner.route,
-            probe=inner.probe,
-            details=inner.details + (f"served from snapshot epoch {snap.epoch}",),
+            index=snap.plain.metadata.name,
+            source=s,
+            target=t,
+            answer=answer,
+            route=route,
+            probe=None,
+            details=details,
         )
 
     # -- query evaluation ------------------------------------------------
-    def _serve(self, snap: Snapshot, key: tuple[int, int, str | None]) -> QueryResult:
+    def _serve(self, key: tuple[int, int, str | None]) -> QueryResult:
         start = time.perf_counter()
+        snap = self._snapshot
         with TRACER.span(
             "service.query", epoch=snap.epoch, source=key[0], target=key[1]
         ) as span:
-            if self._cache is not None:
-                hit = self._cache.get(key, snap.epoch)
-                if hit is not MISS:
-                    self._record("cache", start)
-                    span.annotate(route="cache", answer=bool(hit))
-                    self._maybe_audit(snap, key, bool(hit), "cache")
-                    return QueryResult(bool(hit), snap.epoch, "cache")
-            if not self._breaker.allow():
-                answer = self._degraded_probe(snap, key)
-                self._record("degraded", start)
-                span.annotate(route="degraded", answer=answer)
-                if answer is None:
-                    self._metrics.counter("service.unknowns").increment()
-                else:
-                    self._maybe_audit(snap, key, answer, "degraded")
-                return QueryResult(answer, snap.epoch, "degraded")
-            try:
-                if self._coalescer is not None:
-                    (answer, route), shared = self._coalescer.run(
-                        (key, snap.epoch), lambda: self._evaluate(snap, key)
-                    )
-                else:
-                    (answer, route), shared = self._evaluate(snap, key), False
-            except DeadlineExceeded:
-                # The request's own budget ran out; not an index-health
-                # signal, so the breaker is untouched.
-                global_registry().counter("resilience.deadline.aborts").increment()
-                self._record("deadline_abort", start)
-                self._metrics.counter("service.unknowns").increment()
-                span.annotate(route="deadline_abort", answer=None)
-                return QueryResult(None, snap.epoch, "deadline_abort")
-            except (QueryError, ServiceError):
-                raise  # caller mistakes stay errors (bad vertex, bad mode)
-            except Exception:
-                # The snapshot index misbehaved: count it against the
-                # breaker and degrade to a bounded probe, not a traceback.
-                self._breaker.record_failure()
-                answer = self._degraded_probe(snap, key)
-                self._record("degraded", start)
-                span.annotate(route="degraded", answer=answer)
-                if answer is None:
-                    self._metrics.counter("service.unknowns").increment()
-                return QueryResult(answer, snap.epoch, "degraded")
-            self._breaker.record_success()
-            if self._cache is not None:
-                self._cache.put(key, snap.epoch, answer)
-            self._record(route, start)
+            [(answer, route, shared)] = self._read(
+                snap, (key,), self._evaluate_coalesced
+            )
+            self._route_latency[route].observe(time.perf_counter() - start)
             span.annotate(route=route, answer=answer)
-            self._maybe_audit(snap, key, answer, route)
-            return QueryResult(answer, snap.epoch, route, shared)
+            return QueryResult(answer, snap.epoch, route, bool(shared))
 
-    def _maybe_audit(
-        self,
-        snap: Snapshot,
-        key: tuple[int, int, str | None],
-        answer: bool | None,
-        route: str,
-    ) -> None:
-        """Offer one exact plain answer to the attached shadow auditor."""
-        auditor = self._auditor
-        if auditor is not None and key[2] is None and answer is not None:
-            auditor.offer(snap, key[0], key[1], answer, route)
+    def _read(self, snap: Snapshot, keys, evaluate, effects: bool = True) -> list:
+        """The one guarded read pipeline every read surface runs through.
+
+        Cache probe → breaker gate → ``evaluate(snap, misses)`` →
+        (deadline expiry → ``deadline_abort`` | index failure → breaker
+        failure + bounded probe) → cache put / route counters / shadow
+        audit.  ``keys`` are distinct ``(source, target, constraint)``
+        triples; ``evaluate`` receives the cache misses and returns one
+        ``(answer, route, extra)`` per miss; the pipeline returns one
+        such outcome per key.
+
+        ``effects=False`` (explain) leaves cache contents, counters and
+        the auditor alone.  The breaker outcome is reported either way:
+        ``allow`` may hand out the single half-open trial, and a trial
+        that never reports back would wedge the breaker.
+        """
+        epoch = snap.epoch
+        cache = self._cache
+        outcomes: list = [None] * len(keys)
+        misses: list[int] = []
+        todo: list = []
+        for position, key in enumerate(keys):
+            hit = MISS if cache is None else cache.get(key, epoch)
+            if hit is MISS:
+                misses.append(position)
+                todo.append(key)
+            else:
+                outcomes[position] = (bool(hit), "cache", None)
+        if todo:
+            computed = None  # stays None when the index is unavailable
+            fresh = False
+            if self._breaker.allow():
+                try:
+                    computed = evaluate(snap, todo)
+                except DeadlineExceeded:
+                    # The request's own budget ran out; not an index-health
+                    # signal, so the breaker is untouched.  Cache hits stand;
+                    # every unanswered key is UNKNOWN, not a guess.
+                    global_registry().counter("resilience.deadline.aborts").increment()
+                    computed = [(None, "deadline_abort", None)] * len(todo)
+                except (QueryError, ServiceError):
+                    raise  # caller mistakes stay errors (bad vertex, bad mode)
+                except Exception:
+                    # The snapshot index misbehaved: count it against the
+                    # breaker and degrade to bounded probes, not a traceback.
+                    self._breaker.record_failure()
+                else:
+                    self._breaker.record_success()
+                    fresh = effects and cache is not None
+            if computed is None:
+                computed = [
+                    (self._degraded_probe(snap, key), "degraded", None)
+                    for key in todo
+                ]
+            for position, key, outcome in zip(misses, todo, computed):
+                outcomes[position] = outcome
+                if fresh:
+                    cache.put(key, epoch, outcome[0])
+        if effects:
+            # Every exact plain answer is offered to the shadow auditor
+            # whatever route served it — a poisoned cache or a lying
+            # degraded certificate is what it exists to catch; UNKNOWNs
+            # are counted, never offered.
+            auditor = self._auditor
+            counts: dict[str, int] = {}
+            unknowns = 0
+            for key, (answer, route, _extra) in zip(keys, outcomes):
+                counts[route] = counts.get(route, 0) + 1
+                if answer is None:
+                    unknowns += 1
+                elif auditor is not None and key[2] is None:
+                    auditor.offer(snap, key[0], key[1], answer, route)
+            for route, count in counts.items():
+                self._route_counters[route].increment(count)
+            if unknowns:
+                self._metrics.counter("service.unknowns").increment(unknowns)
+        return outcomes
 
     def _degraded_probe(self, snap: Snapshot, key: tuple[int, int, str | None]):
         """The three-valued lookup-only fallback: bool when a certificate
@@ -677,6 +598,30 @@ class ReachabilityService:
             return False
         return None
 
+    # -- the evaluation steps the pipeline plugs in ------------------------
+    def _evaluate_coalesced(self, snap: Snapshot, keys):
+        """Scalar evaluation, identical in-flight keys sharing one flight."""
+        outcomes = []
+        for key in keys:
+            if self._coalescer is not None:
+                result, shared = self._coalescer.run(
+                    (key, snap.epoch), lambda: self._evaluate(snap, key)
+                )
+            else:
+                result, shared = self._evaluate(snap, key), False
+            outcomes.append((*result, shared))
+        return outcomes
+
+    def _evaluate_batch(self, snap: Snapshot, keys):
+        """One ``query_batch`` over all the (plain) keys."""
+        answers = snap.plain.query_batch([(s, t) for s, t, _ in keys])
+        return [(answer, "plain_index", None) for answer in answers]
+
+    def _evaluate_explained(self, snap: Snapshot, keys):
+        """The index's routed result, kept whole for the formatter."""
+        explanations = [snap.plain.explain(s, t) for s, t, _ in keys]
+        return [(inner.answer, inner.route, inner) for inner in explanations]
+
     def _evaluate(self, snap: Snapshot, key: tuple[int, int, str | None]) -> tuple[bool, str]:
         # Inside the timed region, so injected delays land in the
         # service.latency.* histograms the SLO tracker watches.
@@ -691,11 +636,6 @@ class ReachabilityService:
         # shapes both fall back to automaton-guided traversal.
         return rpq_reachable(snap.labeled_graph, source, target, node), "traversal"
 
-    def _record(self, route: str, start: float) -> None:
-        elapsed = time.perf_counter() - start
-        self._metrics.counter(f"service.queries.{route}").increment()
-        self._metrics.histogram(f"service.latency.{route}").observe(elapsed)
-
     # -- writer API ------------------------------------------------------
     def apply_updates(self, ops: Sequence[EdgeOp | LabeledEdgeOp]) -> int:
         """Apply one update batch and swap in the next epoch.
@@ -709,11 +649,8 @@ class ReachabilityService:
         wal = self._wal
         gate = wal.admitted() if wal is not None else nullcontext()
         with gate, self._writer_lock:
-            snap = self._snapshot
-            if self._labeled_mode:
-                new_snap = self._next_labeled(snap, ops)
-            else:
-                new_snap = self._next_plain(snap, ops)
+            rows = self._op_rows(ops)
+            new_snap = self._next_snapshot(self._snapshot, rows)
             if wal is not None:
                 # Durability point: the record must be on the log before
                 # the swap makes the epoch observable (and before the
@@ -721,7 +658,7 @@ class ReachabilityService:
                 # whole batch — no swap, no ack, nothing to lose.
                 self._wal_applied_lsn = wal.append(
                     "labeled_update" if self._labeled_mode else "update",
-                    {"epoch": new_snap.epoch, "ops": _encode_ops(ops)},
+                    {"epoch": new_snap.epoch, "ops": rows},
                 )
             self._snapshot = new_snap
             if self._cache is not None:
@@ -790,63 +727,81 @@ class ReachabilityService:
             self._metrics.counter("service.advisor.adoptions").increment()
             return self._snapshot.epoch
 
-    def _next_plain(self, snap: Snapshot, ops: list[EdgeOp]) -> Snapshot:
+    def _op_rows(self, ops: list[EdgeOp | LabeledEdgeOp]) -> list[list]:
+        """Type-check a batch against the service mode and flatten it to
+        ``[kind, source, target]`` (plain) / ``[kind, source, target,
+        label]`` (labeled) rows — the form the writer applies and the WAL
+        stores (JSON arrays, unpacked positionally by
+        :mod:`repro.wal.recovery`)."""
+        expected = LabeledEdgeOp if self._labeled_mode else EdgeOp
+        rows: list[list] = []
         for op in ops:
-            if not isinstance(op, EdgeOp):
+            if not isinstance(op, expected):
                 raise ServiceError(
-                    f"plain-mode service takes EdgeOp updates, got {type(op).__name__}"
+                    f"{'labeled' if self._labeled_mode else 'plain'}-mode service "
+                    f"takes {expected.__name__} updates, got {type(op).__name__}"
                 )
-        patched = self._try_patch_plain(snap, ops)
+            row = [op.kind, op.source, op.target]
+            if self._labeled_mode:
+                row.append(op.label)
+            rows.append(row)
+        return rows
+
+    def _next_snapshot(self, snap: Snapshot, rows: list[list]) -> Snapshot:
+        """The next epoch: patch the dynamic index, else apply and rebuild."""
+        patched = self._try_patch(snap, rows)
         if patched is not None:
+            graph = patched.graph
             self._metrics.counter("service.patches").increment()
-            return Snapshot(epoch=snap.epoch + 1, graph=patched.graph, plain=patched)
-        graph = snap.graph.copy()
-        for op in ops:
-            if op.kind == "insert":
-                graph.add_edge(op.source, op.target)
-            else:
-                graph.remove_edge(op.source, op.target)
-        self._metrics.counter("service.rebuilds").increment()
-        return Snapshot(epoch=snap.epoch + 1, graph=graph, plain=self._build_plain(graph))
+        else:
+            served = snap.labeled_graph if self._labeled_mode else snap.graph
+            graph = served.copy()
+            apply_op_rows(rows, graph.add_edge, graph.remove_edge)
+            self._metrics.counter("service.rebuilds").increment()
+        if self._labeled_mode:
+            return self._labeled_snapshot(snap.epoch + 1, graph, constrained=patched)
+        plain = patched if patched is not None else self._build_plain(graph)
+        return Snapshot(epoch=snap.epoch + 1, graph=graph, plain=plain)
 
-    def _try_patch_plain(
-        self, snap: Snapshot, ops: list[EdgeOp]
-    ) -> ReachabilityIndex | None:
-        """Incrementally patch a deep copy of a dynamic index, or None.
+    def _try_patch(self, snap: Snapshot, rows: list[list]):
+        """Incrementally patch a deep copy of the dynamic index, or None.
 
-        Every rejection that can be decided cheaply — rebuild policy,
-        non-dynamic family, unsupported op kinds, and a per-op validity
+        The patched index is the constrained one in labeled mode, the
+        plain one otherwise.  Every rejection that can be decided
+        cheaply — rebuild policy, non-dynamic family (§3.2's Table 1
+        "dynamic" column), unsupported op kinds, and a per-op validity
         pre-pass on a graph copy — happens *before* the O(index)
         ``copy.deepcopy``, so a doomed batch skips straight to the
         rebuild path.  A successful patch is then differentially audited
-        against the BFS oracle on sampled pairs; any mismatch discards
-        the patch (counted, logged) and falls back to a full rebuild, so
-        a buggy incremental maintenance path can never serve a wrong
-        answer.
+        against the BFS/RPQ oracle on sampled pairs; any mismatch
+        discards the patch (counted, logged) and falls back to a full
+        rebuild, so a buggy incremental maintenance path can never serve
+        a wrong answer.
         """
-        if self._rebuild_policy == "always" or isinstance(snap.plain, CondensedIndex):
+        index = snap.labeled if self._labeled_mode else snap.plain
+        if (
+            self._rebuild_policy == "always"
+            or index is None
+            or isinstance(index, CondensedIndex)
+        ):
             return None
-        dynamic = snap.plain.metadata.dynamic
+        dynamic = index.metadata.dynamic
         if dynamic == "no":
             return None
-        if dynamic == "insert-only" and any(op.kind != "insert" for op in ops):
+        if dynamic == "insert-only" and any(row[0] != "insert" for row in rows):
             return None
-        if not self._patch_viable_plain(snap, ops):
+        if not self._patch_viable(index, rows):
             return None
-        index = copy.deepcopy(snap.plain)
+        index = copy.deepcopy(index)
         try:
-            for op in ops:
-                if op.kind == "insert":
-                    index.insert_edge(op.source, op.target)
-                else:
-                    index.delete_edge(op.source, op.target)
+            apply_op_rows(rows, index.insert_edge, index.delete_edge)
         except (UnsupportedOperationError, GraphError):
             return None  # e.g. a cycle-creating insert on a DAG-only index
-        if not self._audit_patched(index, snap.epoch + 1, labeled=False):
+        if not self._audit_patched(index, snap.epoch + 1, labeled=self._labeled_mode):
             return None
         return index
 
-    def _patch_viable_plain(self, snap: Snapshot, ops: list[EdgeOp]) -> bool:
+    def _patch_viable(self, index, rows: list[list]) -> bool:
         """Cheap per-op validity pre-pass: would the patch certainly fail?
 
         Simulates the batch on a copy of the *graph* — O(|E| + ops·BFS)
@@ -856,16 +811,17 @@ class ReachabilityService:
         routes to the rebuild path, which raises the same
         :class:`~repro.errors.GraphError` a caller would have seen.
         """
-        probe = snap.graph.copy()
-        needs_dag = snap.plain.metadata.input_kind == "DAG"
+        probe = index.graph.copy()
+        insert = probe.add_edge
+        if index.metadata.input_kind == "DAG":
+
+            def insert(source: int, target: int) -> None:
+                if bfs_reachable(probe, target, source):
+                    raise NotADAGError("insert would close a cycle under a DAG index")
+                probe.add_edge(source, target)
+
         try:
-            for op in ops:
-                if op.kind == "insert":
-                    if needs_dag and bfs_reachable(probe, op.target, op.source):
-                        return False  # would close a cycle under a DAG index
-                    probe.add_edge(op.source, op.target)
-                else:
-                    probe.remove_edge(op.source, op.target)
+            apply_op_rows(rows, insert, probe.remove_edge)
         except GraphError:
             return False
         return True
@@ -921,74 +877,6 @@ class ReachabilityService:
             target,
         )
         return False
-
-    def _next_labeled(self, snap: Snapshot, ops: list[LabeledEdgeOp]) -> Snapshot:
-        for op in ops:
-            if not isinstance(op, LabeledEdgeOp):
-                raise ServiceError(
-                    "labeled-mode service takes LabeledEdgeOp updates, "
-                    f"got {type(op).__name__}"
-                )
-        patched = self._try_patch_labeled(snap, ops)
-        if patched is not None:
-            labeled_graph = patched.graph
-            plain_view = labeled_graph.to_plain()
-            self._metrics.counter("service.patches").increment()
-            return Snapshot(
-                epoch=snap.epoch + 1,
-                graph=plain_view,
-                plain=self._build_plain(plain_view),
-                labeled_graph=labeled_graph,
-                labeled=patched,
-            )
-        labeled_graph = snap.labeled_graph.copy()
-        for op in ops:
-            if op.kind == "insert":
-                labeled_graph.add_edge(op.source, op.target, op.label)
-            else:
-                labeled_graph.remove_edge(op.source, op.target, op.label)
-        self._metrics.counter("service.rebuilds").increment()
-        return self._labeled_snapshot(epoch=snap.epoch + 1, labeled=labeled_graph)
-
-    def _try_patch_labeled(
-        self, snap: Snapshot, ops: list[LabeledEdgeOp]
-    ) -> LabelConstrainedIndex | None:
-        if (
-            self._rebuild_policy == "always"
-            or snap.labeled is None
-            or snap.labeled.metadata.dynamic != "yes"
-        ):
-            return None
-        if not self._patch_viable_labeled(snap, ops):
-            return None
-        index = copy.deepcopy(snap.labeled)
-        try:
-            for op in ops:
-                if op.kind == "insert":
-                    index.insert_edge(op.source, op.target, op.label)
-                else:
-                    index.delete_edge(op.source, op.target, op.label)
-        except (UnsupportedOperationError, GraphError):
-            return None
-        if not self._audit_patched(index, snap.epoch + 1, labeled=True):
-            return None
-        return index
-
-    def _patch_viable_labeled(
-        self, snap: Snapshot, ops: list[LabeledEdgeOp]
-    ) -> bool:
-        """Labeled analogue of :meth:`_patch_viable_plain` (no DAG check —
-        labeled dynamic families accept cyclic graphs)."""
-        probe = snap.labeled_graph.copy()
-        try:
-            for op in ops:
-                if op.kind == "insert":
-                    probe.add_edge(op.source, op.target, op.label)
-                else:
-                    probe.remove_edge(op.source, op.target, op.label)
-        except GraphError:
-            return False
-        return True
 
     # -- observability ---------------------------------------------------
     def metrics_dict(self) -> dict[str, object]:
@@ -1055,16 +943,3 @@ class ReachabilityService:
             f"|V|={snap.graph.num_vertices}, |E|={snap.graph.num_edges}, "
             f"mode={'labeled' if self._labeled_mode else 'plain'})"
         )
-
-
-def _encode_ops(ops: Sequence[EdgeOp | LabeledEdgeOp]) -> list[list]:
-    """WAL wire form for an update batch — JSON arrays, not objects, so a
-    record stays compact and :mod:`repro.wal.recovery` can unpack
-    positionally (``[kind, s, t]`` plain, ``[kind, s, t, label]`` labeled)."""
-    encoded: list[list] = []
-    for op in ops:
-        row: list = [op.kind, op.source, op.target]
-        if isinstance(op, LabeledEdgeOp):
-            row.append(op.label)
-        encoded.append(row)
-    return encoded

@@ -44,12 +44,7 @@ from dataclasses import dataclass, field
 from typing import ClassVar
 
 from repro import accel as _accel
-from repro.core.base import (
-    Explanation,
-    IndexMetadata,
-    ReachabilityIndex,
-    TriState,
-)
+from repro.core.base import IndexMetadata, ReachabilityIndex, TriState
 from repro.core.registry import plain_index, register_plain
 from repro.errors import IndexBuildError
 from repro.graphs.digraph import DiGraph
@@ -375,6 +370,8 @@ class ShardedIndex(ReachabilityIndex):
         input_kind="DAG",
         dynamic="no",
     )
+    # Scalar queries keep the ``shard.query`` / ``shard.route.*`` names.
+    _obs_namespace: ClassVar[str] = "shard"
 
     def __init__(
         self,
@@ -567,20 +564,7 @@ class ShardedIndex(ReachabilityIndex):
     def lookup(self, source: int, target: int) -> TriState:
         """Exact probe: the two-level composition never answers MAYBE."""
         self._check_query(source, target)
-        answer, _route, _details = self._resolve(source, target)
-        return TriState.YES if answer else TriState.NO
-
-    def query(self, source: int, target: int) -> bool:
-        self._check_query(source, target)
-        if not TRACER.enabled:
-            return self._resolve(source, target)[0]
-        with TRACER.span(
-            "shard.query", index=self.metadata.name, source=source, target=target
-        ) as span:
-            answer, route, _details = self._resolve(source, target)
-            span.annotate(route=route, answer=answer)
-            global_registry().counter(f"shard.route.{route}").increment()
-            return answer
+        return TriState.YES if self._routed_answer(source, target)[0] else TriState.NO
 
     def query_batch(self, pairs: Sequence[tuple[int, int]]) -> list[bool]:
         """Batched two-level resolution.
@@ -643,36 +627,68 @@ class ShardedIndex(ReachabilityIndex):
         return answers  # type: ignore[return-value]
 
     # -- resolution core ---------------------------------------------------
-    def _resolve(self, source: int, target: int) -> tuple[bool, str, tuple[str, ...]]:
-        """Answer + route + human details; explain and query share this."""
+    def _routed_answer(
+        self, source: int, target: int
+    ) -> tuple[bool, str, TriState | None]:
+        """The two-level evaluator: shard-local first, then the boundary.
+
+        ``intra_shard`` when the shard-local index decided,
+        ``cross_shard`` for a fresh boundary composition,
+        ``boundary_cache`` when that composition was memoised for this
+        border pair.
+        """
         if source == target:
-            return True, "trivial", (
-                "source equals target: reachable by the empty path",
-            )
+            return True, "trivial", None
+        shard = self._shard_of[source]
+        if shard == self._shard_of[target]:
+            local = self._local_of
+            if self._shard_indexes[shard].query(local[source], local[target]):
+                return True, "intra_shard", TriState.YES
+            if self._boundary_index is None:
+                return False, "intra_shard", TriState.NO
+        answer, route = self._compose(source, target)
+        return answer, route, TriState.YES if answer else TriState.NO
+
+    def _route_details(
+        self, source: int, target: int, route: str, probe: TriState | None
+    ) -> tuple[str, ...]:
+        if route == "trivial":
+            return super()._route_details(source, target, route, probe)
         shard_s = self._shard_of[source]
         shard_t = self._shard_of[target]
-        if shard_s == shard_t:
-            local = self._local_of
-            if self._shard_indexes[shard_s].query(local[source], local[target]):
-                return True, "intra_shard", (
+        if route == "intra_shard":
+            if probe is TriState.YES:
+                return (
                     f"shard {shard_s}: the shard-local {self._family} index "
                     "answered yes",
                 )
-            if self._boundary_index is None:
-                return False, "intra_shard", (
-                    f"shard {shard_s}: shard-local no is final "
-                    "(no cut edges, paths cannot leave the shard)",
-                )
-            answer, route, details = self._compose(source, target)
-            return answer, route, (
-                f"shard {shard_s}: shard-local probe answered no; "
-                "checking exit-and-re-enter paths through the boundary",
-                *details,
+            return (
+                f"shard {shard_s}: shard-local no is final "
+                "(no cut edges, paths cannot leave the shard)",
             )
-        answer, route, details = self._compose(source, target)
-        return answer, route, (
-            f"cross-shard: shard({source})={shard_s}, shard({target})={shard_t}",
-            *details,
+        if shard_s == shard_t:
+            head = (
+                f"shard {shard_s}: shard-local probe answered no; "
+                "checking exit-and-re-enter paths through the boundary"
+            )
+        else:
+            head = f"cross-shard: shard({source})={shard_s}, shard({target})={shard_t}"
+        if self._boundary_index is None:
+            return head, "no cut edges: distinct shards are mutually unreachable"
+        # Both border sets were memoised by the evaluation being explained.
+        out = self._out_borders(source)
+        into = self._in_borders(target)
+        if not out or not into:
+            side = "source has no out-borders" if not out else "target has no in-borders"
+            return head, f"boundary composition: {side}"
+        if route == "boundary_cache":
+            return head, (
+                "boundary composition memoised for this border pair "
+                f"(|out|={len(out)}, |in|={len(into)})"
+            )
+        return head, (
+            f"boundary composition over |out|={len(out)} x |in|={len(into)} "
+            f"border pairs answered {probe.value}"
         )
 
     def _out_borders(self, source: int) -> tuple[int, ...]:
@@ -718,36 +734,28 @@ class ShardedIndex(ReachabilityIndex):
         self._in_cache[target] = result
         return result
 
-    def _compose(self, source: int, target: int) -> tuple[bool, str, tuple[str, ...]]:
+    def _compose(self, source: int, target: int) -> tuple[bool, str]:
         """The boundary composition: out-borders ⇝ in-borders, memoised."""
         if self._boundary_index is None:
-            return False, "cross_shard", (
-                "no cut edges: distinct shards are mutually unreachable",
-            )
+            return False, "cross_shard"
         deadline = current_deadline()
         if deadline is not None:
             deadline.check()
         out = self._out_borders(source)
         into = self._in_borders(target)
         if not out or not into:
-            side = "source has no out-borders" if not out else "target has no in-borders"
-            return False, "cross_shard", (f"boundary composition: {side}",)
+            return False, "cross_shard"
         key = (out, into)
         hit = self._pair_cache.get(key)
         if hit is not None:
-            return hit, "boundary_cache", (
-                f"boundary composition memoised for this border pair "
-                f"(|out|={len(out)}, |in|={len(into)})",
+            return hit, "boundary_cache"
+        answer = any(
+            self._boundary_index.query_batch(
+                [(b_out, b_in) for b_out in out for b_in in into]
             )
-        probes = self._boundary_index.query_batch(
-            [(b_out, b_in) for b_out in out for b_in in into]
         )
-        answer = any(probes)
         self._pair_cache[key] = answer
-        return answer, "cross_shard", (
-            f"boundary composition over |out|={len(out)} x |in|={len(into)} "
-            f"border pairs answered {str(answer).lower()}",
-        )
+        return answer, "cross_shard"
 
     def _compose_batch(
         self,
@@ -893,26 +901,6 @@ class ShardedIndex(ReachabilityIndex):
                 f"{len(frontier)} boundary vertices to {len(members)} "
                 f"{kind} overall",
             ),
-        )
-
-    # -- observability -----------------------------------------------------
-    def explain(self, source: int, target: int) -> Explanation:
-        """The shard route one query takes: ``intra_shard`` when the
-        shard-local index decided, ``cross_shard`` for a fresh boundary
-        composition, ``boundary_cache`` when the composition was
-        memoised for this border pair."""
-        self._check_query(source, target)
-        answer, route, details = self._resolve(source, target)
-        return Explanation(
-            index=self.metadata.name,
-            source=source,
-            target=target,
-            answer=answer,
-            route=route,
-            probe=None if route == "trivial" else (
-                TriState.YES if answer else TriState.NO
-            ),
-            details=details,
         )
 
     # -- accounting --------------------------------------------------------

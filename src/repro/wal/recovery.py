@@ -34,6 +34,7 @@ from repro.errors import GraphError, WALError
 from repro.graphs.digraph import DiGraph
 from repro.graphs.labeled import LabeledDiGraph
 from repro.wal.log import WalRecord, WalReplay, WriteAheadLog
+from repro.workloads.updates import apply_op_rows
 
 __all__ = ["RecoveredState", "checkpoint_payload", "recover_states"]
 
@@ -179,49 +180,20 @@ def _apply(
         state.index_params = dict(data.get("params") or {})
         state.epoch = epoch
         return True
-    if record.kind == "update":
-        if state.labeled:
-            raise WALError(
-                f"plain update record at lsn {record.lsn} in a labeled-mode log"
-            )
-        _apply_plain_ops(record, state.graph, data["ops"])
-    elif record.kind == "labeled_update":
-        if not state.labeled:
-            raise WALError(
-                f"labeled update record at lsn {record.lsn} in a plain-mode log"
-            )
-        _apply_labeled_ops(record, state.graph, data["ops"])
-    else:
+    if record.kind not in ("update", "labeled_update"):
         raise WALError(f"unknown record kind {record.kind!r} at lsn {record.lsn}")
+    if (record.kind == "labeled_update") != state.labeled:
+        raise WALError(
+            f"{'labeled' if state.labeled else 'plain'}-mode log holds a "
+            f"{record.kind} record at lsn {record.lsn}"
+        )
+    graph = state.graph
+    try:
+        apply_op_rows(data["ops"], graph.add_edge, graph.remove_edge)
+    except (GraphError, ValueError, TypeError) as exc:
+        raise WALError(
+            f"record at lsn {record.lsn} does not replay over the "
+            f"recovered graph ({exc}) — log and checkpoint disagree"
+        ) from exc
     state.epoch = epoch
     return True
-
-
-def _apply_plain_ops(record: WalRecord, graph: DiGraph, ops: list) -> None:
-    try:
-        for kind, source, target in ops:
-            if kind == "insert":
-                graph.add_edge(source, target)
-            else:
-                graph.remove_edge(source, target)
-    except (GraphError, ValueError) as exc:
-        raise WALError(
-            f"record at lsn {record.lsn} does not replay over the "
-            f"recovered graph ({exc}) — log and checkpoint disagree"
-        ) from exc
-
-
-def _apply_labeled_ops(
-    record: WalRecord, graph: LabeledDiGraph, ops: list
-) -> None:
-    try:
-        for kind, source, target, label in ops:
-            if kind == "insert":
-                graph.add_edge(source, target, label)
-            else:
-                graph.remove_edge(source, target, label)
-    except (GraphError, ValueError) as exc:
-        raise WALError(
-            f"record at lsn {record.lsn} does not replay over the "
-            f"recovered graph ({exc}) — log and checkpoint disagree"
-        ) from exc

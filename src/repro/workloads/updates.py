@@ -11,6 +11,7 @@ baseline.
 from __future__ import annotations
 
 import random
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 
 from repro.authz.tuples import RelationTuple
@@ -22,6 +23,7 @@ __all__ = [
     "EdgeOp",
     "LabeledEdgeOp",
     "TupleOp",
+    "apply_op_rows",
     "update_stream",
     "labeled_update_stream",
     "tuple_churn_stream",
@@ -59,6 +61,27 @@ class LabeledEdgeOp:
     source: int
     target: int
     label: str
+
+
+def apply_op_rows(
+    rows: Iterable[Sequence],
+    insert: Callable[..., object],
+    delete: Callable[..., object],
+) -> None:
+    """Replay ``(kind, *args)`` op rows: ``insert(*args)`` for an
+    ``"insert"`` row, ``delete(*args)`` for any other.
+
+    The one op-application loop of the write path — graphs replay
+    through ``add_edge``/``remove_edge``, dynamic indexes through
+    ``insert_edge``/``delete_edge``, and WAL recovery replays logged
+    rows the same way.  ``args`` is ``(source, target)`` for plain ops
+    and ``(source, target, label)`` for labeled ones.
+    """
+    for kind, *args in rows:
+        if kind == "insert":
+            insert(*args)
+        else:
+            delete(*args)
 
 
 def update_stream(

@@ -130,6 +130,39 @@ def test_route_counters_gated_on_tracing(small_dag):
     assert [s.attributes["route"] for s in spans] == ["label_probe", "trivial"]
 
 
+def test_condensed_query_traces_as_the_wrapper(cyclic_graph):
+    """One ``index.query`` span per wrapped query: the caller's vertex ids,
+    the wrapper's name and the deciding route — ``same_scc`` included."""
+    index = CondensedIndex.build(cyclic_graph, inner=PLAIN["GRAIL"])
+    n = cyclic_graph.num_vertices
+    cross = next(
+        (s, t)
+        for s in range(n)
+        for t in range(n)
+        if index.explain(s, t).route != "same_scc"
+    )
+    enable_tracing()
+    for pair in ((0, 2), cross):  # (0, 2) sits inside the {0,1,2} SCC
+        TRACER.clear()
+        before = _route_counters()
+        expected = index.explain(*pair)
+        answer = index.query(*pair)
+        spans = [s for s in TRACER.finished() if s.name == "index.query"]
+        assert [s.attributes for s in spans] == [
+            {
+                "index": "GRAIL+SCC",
+                "source": pair[0],
+                "target": pair[1],
+                "route": expected.route,
+                "answer": answer,
+            }
+        ]
+        assert not spans[0].children
+        after = _route_counters()
+        assert sum(after.values()) == sum(before.values()) + 1
+        assert after[expected.route] == before.get(expected.route, 0) + 1
+
+
 def test_batch_routes_attributed(small_dag):
     enable_tracing()
     index = PLAIN["GRAIL"].build(small_dag)  # partial: sweeps its MAYBEs

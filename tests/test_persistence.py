@@ -11,7 +11,13 @@ from repro.graphs.generators import (
     random_dag,
     random_labeled_digraph,
 )
-from repro.persistence import PersistenceError, load_index, peek_index_info, save_index
+from repro.persistence import (
+    PersistenceError,
+    load_index,
+    peek_index_info,
+    save_index,
+    write_checksummed_blob,
+)
 from repro.traversal.online import bfs_reachable
 
 
@@ -122,7 +128,7 @@ class TestErrorPaths:
         assert "sha256" in str(info.value)
         assert str(path) in str(info.value)
 
-    def test_legacy_v1_file_loads_with_warning(self, tmp_path):
+    def test_legacy_v1_file_is_rejected_with_its_version(self, tmp_path):
         import pickle
 
         graph = random_dag(10, 20, seed=50)
@@ -135,10 +141,10 @@ class TestErrorPaths:
             sink.write(len(name).to_bytes(2, "big"))
             sink.write(name)
             sink.write(pickle.dumps(index, protocol=pickle.HIGHEST_PROTOCOL))
-        with pytest.warns(UserWarning, match="no checksum"):
-            loaded = load_index(path)
-        assert type(loaded) is type(index)
-        assert loaded.query(0, 0)
+        with pytest.raises(PersistenceError, match="version 1"):
+            load_index(path)
+        with pytest.raises(PersistenceError, match="version 1"):
+            peek_index_info(path)
 
     def test_no_temp_file_left_behind(self, tmp_path):
         graph = random_dag(10, 20, seed=51)
@@ -151,12 +157,14 @@ class TestErrorPaths:
 
         path = tmp_path / "list.repro"
         name = b"list"
-        with open(path, "wb") as sink:
-            sink.write(b"REPRO-INDEX")
-            sink.write((1).to_bytes(2, "big"))
-            sink.write(len(name).to_bytes(2, "big"))
-            sink.write(name)
-            sink.write(pickle.dumps([1, 2, 3]))
+        write_checksummed_blob(  # a well-formed v2 container around a non-index
+            path,
+            b"REPRO-INDEX"
+            + (2).to_bytes(2, "big")
+            + len(name).to_bytes(2, "big")
+            + name
+            + pickle.dumps([1, 2, 3]),
+        )
         with pytest.raises(PersistenceError, match="not an index"):
             load_index(path)
 

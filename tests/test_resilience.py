@@ -421,6 +421,80 @@ class TestEngineDegradation:
         assert explanation.route == "degraded"
         assert "circuit breaker" in " ".join(explanation.details)
 
+    @pytest.mark.parametrize(
+        "fault", ["cache hit", "healthy", "breaker open", "index raises", "deadline expired"]
+    )
+    def test_explain_reach_and_batch_agree_under_faults(self, fault, monkeypatch):
+        """One read pipeline: ``explain`` reports what ``reach_ex`` and
+        ``execute_batch`` do — same answer, same serving-tier route — and
+        every exact answer they serve is offered to the auditor."""
+        from repro.graphs.digraph import DiGraph
+
+        serving_routes = {"cache", "degraded", "deadline_abort"}
+        if fault == "deadline expired":
+            # A chain: GRAIL answers MAYBE and every evaluator must walk it,
+            # so the strided deadline checks are guaranteed to fire.
+            graph = DiGraph(2000)
+            for vertex in range(1999):
+                graph.add_edge(vertex, vertex + 1)
+            family, pair, budget = "GRAIL", (0, 1999), 0.0
+        else:
+            graph = random_dag(60, 180, seed=26)
+            family, pair, budget = "PLL", (3, 40), None
+        service = ReachabilityService(
+            graph,
+            index=family,
+            cache_capacity=16 if fault == "cache hit" else None,
+            breaker_cooldown_s=300.0,
+        )
+        offered: list[tuple[bool, str]] = []
+
+        class Recorder:
+            def offer(self, snap, source, target, answer, route):
+                offered.append((answer, route))
+
+        if fault == "cache hit":
+            service.reach_ex(*pair)
+        elif fault == "breaker open":
+            service.breaker.trip("test")
+        elif fault == "index raises":
+            index = service.acquire().plain
+
+            def boom(*_args):
+                raise RuntimeError("index fault")
+
+            for method in ("query", "query_batch", "explain"):
+                monkeypatch.setattr(index, method, boom)
+        service.attach_auditor(Recorder())
+        with deadline_scope(budget):
+            explanation = service.explain(*pair)
+            assert offered == []  # explain has no side effects
+            scalar = service.reach_ex(*pair)
+            [batched] = service.execute_batch([pair])
+        expected = {
+            "cache hit": "cache",
+            "breaker open": "degraded",
+            "index raises": "degraded",
+            "deadline expired": "deadline_abort",
+        }.get(fault)
+        assert explanation.answer == scalar.answer == batched.answer
+        if expected is None:
+            routes = {explanation.route, scalar.route, batched.route}
+            assert not routes & serving_routes
+            assert scalar.answer == bfs_reachable(graph, *pair)
+        else:
+            assert explanation.route == scalar.route == batched.route == expected
+        if fault == "deadline expired":
+            assert scalar.answer is None and offered == []
+        else:
+            # PLL is complete, so even degraded certificates are exact —
+            # and exact answers are audited whatever route served them.
+            assert scalar.answer == bfs_reachable(graph, *pair)
+            assert offered == [
+                (scalar.answer, scalar.route),
+                (batched.answer, batched.route),
+            ]
+
     def test_metrics_dict_has_breaker(self):
         graph = random_dag(30, 80, seed=25)
         service = ReachabilityService(graph, index="PLL")

@@ -206,17 +206,6 @@ class TestEngineBasics:
         with pytest.raises(ServiceError):
             service.lreach(0, 1, "(a)*")
 
-    def test_batch_single_snapshot_and_dedupe(self):
-        graph = random_labeled_digraph(15, 35, ["a", "b"], seed=506)
-        service = ReachabilityService(graph)
-        results = service.batch([(0, 3), (0, 3), (1, 4, "(a | b)*"), (0, 3)])
-        assert len(results) == 4
-        assert len({r.epoch for r in results}) == 1
-        assert results[0] is results[1] is results[3]
-        # Deduped copies were answered once: one plain_index evaluation.
-        queries = service.metrics_dict()["service"]["queries"]
-        assert queries["plain_index"] == 1
-
     def test_updates_swap_epochs_and_clear_cache(self):
         graph = random_dag(25, 55, seed=507)
         service = ReachabilityService(graph, index="GRAIL")
