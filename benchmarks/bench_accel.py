@@ -1,7 +1,9 @@
 """CLAIM-PERF-ACCEL — packed numpy kernels break the pure-Python ceiling.
 
-Two halves of the acceleration-layer claim, measured on uniform random
-DAGs and a community DAG:
+Every numpy twin that ships has a row here showing it beats its Python
+twin on the condition that dispatches to it (DESIGN.md §4); the halves
+of the acceleration-layer claim, measured on uniform random DAGs and a
+community DAG:
 
 * **Batch sweep race** — ``batch_reachable`` over the same CSR snapshot
   with the backend pinned to ``python`` (authoritative big-int kernels)
@@ -9,6 +11,9 @@ DAGs and a community DAG:
   steady-state numpy sweep (level schedule already built, the state a
   long-lived service reaches after one batch) must be **≥3× faster** at
   10⁵ vertices and stay ahead at 10⁶.
+* **Closure-row decode race** — TC's ``_bits_of`` over sampled rows of
+  a materialised closure, byte-table walk (``python``) vs
+  ``unpacked_indices`` (one ``np.unpackbits``); numpy must be no slower.
 * **Shard transport race** — ``ShardedIndex.build`` with a process pool
   at k ∈ {1, 2, 4, 8}, shipping shard graphs to workers as
   shared-memory snapshot handles (accel on) vs pickled subgraphs
@@ -33,7 +38,8 @@ from repro import accel
 from repro.bench.jsonout import add_json_argument, emit
 from repro.bench.tables import format_seconds, render_table
 from repro.graphs.generators import community_dag, random_dag
-from repro.kernels import batch_reachable, csr_of
+from repro.kernels import batch_reachable, csr_of, descendant_bitsets
+from repro.plain.transitive_closure import _bits_of
 from repro.shard import ShardedIndex
 
 #: (vertices, edges) scales for the batch sweep race.
@@ -42,6 +48,10 @@ BATCH_PAIRS = 2_000
 DISTINCT_SOURCES = 256
 WARM_ROUNDS = 3
 MIN_SWEEP_SPEEDUP = 3.0
+
+#: (vertices, edges) of the closure whose rows the decode race samples.
+DECODE_SCALE = (20_000, 70_000)
+DECODE_ROWS = 256
 
 SHARD_COUNTS = (1, 2, 4, 8)
 SHARD_COMMUNITIES = 8
@@ -90,6 +100,28 @@ def _measure_sweep(
         "numpy_warm_seconds": numpy_warm,
         "speedup_cold": python_s / numpy_cold,
         "speedup_warm": python_s / numpy_warm,
+    }
+
+
+def _measure_decode(vertices: int, edges: int, rows: int, seed: int) -> dict:
+    """The closure-row decode race: ``_bits_of`` with the backend pinned."""
+    closure = descendant_bitsets(csr_of(random_dag(vertices, edges, seed=seed)))
+    sample = random.Random(seed + 3).sample(closure, min(rows, vertices))
+    try:
+        accel.set_backend("python")
+        expected, python_s = _timed(lambda: [_bits_of(row) for row in sample])
+        accel.set_backend("numpy")
+        decoded, numpy_s = _timed(lambda: [_bits_of(row) for row in sample])
+        assert decoded == expected  # differential check rides along
+    finally:
+        accel.set_backend("auto")
+    return {
+        "vertices": vertices,
+        "rows": len(sample),
+        "members": sum(len(row) for row in expected),
+        "python_seconds": python_s,
+        "numpy_seconds": numpy_s,
+        "speedup": python_s / numpy_s,
     }
 
 
@@ -145,16 +177,18 @@ def measure(
     community_size: int = SHARD_COMMUNITY_SIZE,
     seed: int = 0,
 ) -> dict:
-    """Both measurements as one JSON-serialisable dict."""
+    """All three measurements as one JSON-serialisable dict."""
     sweeps = [
         _measure_sweep(vertices, edges, batch_pairs, distinct_sources, seed)
         for vertices, edges in sweep_scales
     ]
+    decode = _measure_decode(*DECODE_SCALE, DECODE_ROWS, seed)
     shards = _measure_shards(shard_counts, communities, community_size, seed)
     return {
         "accel": accel.describe(),
         "cpu_count": os.cpu_count(),
         "sweeps": sweeps,
+        "decode": decode,
         "shards": shards,
     }
 
@@ -170,6 +204,15 @@ def _render(results: dict) -> str:
                 f"{sweep['speedup_warm']:.1f}x",
             )
         )
+    decode = results["decode"]
+    rows.append(
+        (
+            f"closure-row decode |V|={decode['vertices']:,}",
+            format_seconds(decode["python_seconds"]),
+            format_seconds(decode["numpy_seconds"]),
+            f"{decode['speedup']:.1f}x",
+        )
+    )
     for row in results["shards"]:
         shm, pickle_leg = row["shm"], row["pickle"]
         saved = (
@@ -202,6 +245,11 @@ def _assert_claims(results: dict) -> None:
             f"{sweep['speedup_warm']:.2f}x the python sweep, below the "
             f"claimed {MIN_SWEEP_SPEEDUP:.0f}x"
         )
+    decode = results["decode"]
+    assert decode["speedup"] >= 1.0, (
+        f"unpacked_indices at |V|={decode['vertices']:,} is "
+        f"{decode['speedup']:.2f}x the byte-table decode: the twin loses"
+    )
     for row in results["shards"]:
         if row["num_shards"] < 2:
             continue  # single-shard builds run inline; nothing is shipped

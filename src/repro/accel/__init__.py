@@ -10,20 +10,22 @@ This package drops an array-backed layer underneath the same kernel API:
   offset/index arrays frozen from a CSR snapshot, exportable to
   :mod:`multiprocessing.shared_memory` so process-pool shard builds
   attach to one read-only snapshot instead of unpickling a graph copy;
-* :mod:`repro.accel.bitset` — packed ``uint64[n_vertices, n_words]``
-  bitset kernels: a level-synchronous DAG sweep driven by
-  ``np.bitwise_or.reduceat`` over fancy-indexed gathers, and a
-  frontier-synchronous multi-source BFS for cyclic snapshots;
-* :mod:`repro.accel.labels` — vectorized 2-hop label-set
-  intersection/merge for the PLL/DL/TOL probe path.
+* :mod:`repro.accel.bitset` — the two kernels that never materialise
+  big ints and therefore win: the packed ``uint64[n_vertices, n_words]``
+  batched pair sweep behind :func:`repro.kernels.batch_reachable`
+  (level-synchronous on DAGs, frontier-synchronous on cyclic
+  snapshots) and the ``unpackbits`` decode of one closure row behind
+  TC's enumeration.
 
 **The pure-Python path stays authoritative.**  Selection is runtime
 detected (:func:`available`), every accelerated kernel is differential
-tested against its pure-Python twin, and two switches force the
-fallback: the ``REPRO_ACCEL=0`` environment kill switch and
-:func:`set_backend` (``"python"`` | ``"numpy"`` | ``"auto"``).  Nothing
-in this library imports numpy unconditionally — without it, every
-entry point silently keeps its original behaviour.
+tested against its pure-Python twin and ships only with a
+``bench_accel`` row showing it beats that twin on the condition that
+dispatches to it, and two switches force the fallback: the
+``REPRO_ACCEL=0`` environment kill switch and :func:`set_backend`
+(``"python"`` | ``"numpy"`` | ``"auto"``).  Nothing in this library
+imports numpy unconditionally — without it, every entry point silently
+keeps its original behaviour.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from __future__ import annotations
 import os
 
 __all__ = [
-    "MIN_BATCH",
     "MIN_VERTICES",
     "available",
     "backend_name",
@@ -40,7 +41,6 @@ __all__ = [
     "backend_labels",
     "kill_switch_engaged",
     "set_backend",
-    "use_for_batch",
     "use_for_graph",
 ]
 
@@ -48,9 +48,6 @@ __all__ = [
 #: interpreter (fixed per-call array setup dominates); ``auto`` keeps
 #: the pure-Python path.  ``set_backend("numpy")`` overrides.
 MIN_VERTICES = 512
-
-#: Minimum batch length before the vectorized label probe pays off.
-MIN_BATCH = 32
 
 #: The environment kill switch: any of these values disables the layer
 #: no matter what :func:`set_backend` chose.
@@ -129,21 +126,11 @@ def use_for_graph(num_vertices: int) -> bool:
     return _backend == "numpy" or num_vertices >= MIN_VERTICES
 
 
-def use_for_batch(batch_len: int) -> bool:
-    """Whether a label probe over ``batch_len`` pairs should vectorize."""
-    if not enabled():
-        return False
-    return _backend == "numpy" or batch_len >= MIN_BATCH
-
-
 def backend_labels() -> dict[str, str]:
     """The backend identity as flat string labels for metric exposition.
 
-    Named so it cannot collide with the :mod:`repro.accel.labels`
-    submodule (importing that module would rebind a package attribute
-    called ``labels``).  The OpenMetrics ``repro_accel_info`` gauge
-    carries these, so every scrape records which kernel layer produced
-    the latencies next to it.
+    The OpenMetrics ``repro_accel_info`` gauge carries these, so every
+    scrape records which kernel layer produced the latencies next to it.
     """
     numpy = _numpy()
     return {
@@ -165,5 +152,4 @@ def describe() -> dict[str, object]:
         "kill_switch": kill_switch_engaged(),
         "numpy_version": getattr(numpy, "__version__", None),
         "min_vertices": MIN_VERTICES,
-        "min_batch": MIN_BATCH,
     }

@@ -3,9 +3,9 @@
 The representation mirrors the pure-Python kernels bit for bit: row
 ``v`` of a ``uint64[n_vertices, n_words]`` matrix is vertex ``v``'s
 source mask, with batched source ``i`` occupying bit ``i & 63`` of word
-``i >> 6`` — so ``int.from_bytes(row, "little")`` reproduces the exact
-big int the authoritative kernels compute, which is what the
-differential tests assert.
+``i >> 6``.  Answers are read straight out of the packed matrix; no
+big int is ever materialised (converting rows back cost more than the
+sweep saved, so the mask-returning twins were retired).
 
 Two sweep strategies, same as the Python layer:
 
@@ -28,14 +28,11 @@ except ImportError:  # the pure-Python fallback never imports this module
     np = None
 
 from repro.accel.arrays import CSRArrays, gather_ranges
-from repro.errors import NotADAGError
 from repro.resilience.deadline import current_deadline
 
 __all__ = [
     "packed_batch_reachable",
-    "packed_descendant_bitsets",
     "packed_reach_masks",
-    "rows_to_ints",
     "unpacked_indices",
 ]
 
@@ -112,44 +109,11 @@ def packed_reach_masks(
     return masks
 
 
-def packed_descendant_bitsets(arrays: CSRArrays):
-    """Packed transitive closure — the :func:`descendant_bitsets` twin.
-
-    Bit ``t`` of row ``v`` is set iff ``v ⇝ t`` (including ``v``
-    itself).  DAG-only, computed by the backward level sweep.
-    """
-    schedule = arrays.schedule(forward=False)
-    if schedule is None:
-        raise NotADAGError("descendant_bitsets requires a DAG")
-    n = arrays.num_vertices
-    one, six3 = _consts()
-    masks = np.zeros((n, (n + 63) >> 6), dtype=np.uint64)
-    ids = np.arange(n, dtype=np.uint64)
-    masks[np.arange(n), (ids >> np.uint64(6)).astype(np.int64)] = one << (ids & six3)
-    _sweep_levels(masks, schedule)
-    return masks
-
-
-def rows_to_ints(masks) -> list[int]:
-    """Convert packed rows to the big ints the Python kernels return."""
-    n, n_words = masks.shape
-    if n_words == 0:
-        return [0] * n
-    data = np.ascontiguousarray(masks, dtype="<u8").tobytes()
-    stride = 8 * n_words
-    from_bytes = int.from_bytes
-    return [
-        from_bytes(data[row * stride : (row + 1) * stride], "little")
-        for row in range(n)
-    ]
-
-
 def unpacked_indices(mask: int) -> list[int]:
     """Set-bit positions of one big-int bitset, via a single unpackbits.
 
-    The inverse direction of :func:`rows_to_ints` for a single row:
-    enumeration fast paths hold a closure row as a big int and need its
-    members as indices.
+    Enumeration fast paths hold a closure row as a big int and need
+    its members as indices.
     """
     if not mask:
         return []

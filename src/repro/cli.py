@@ -1041,10 +1041,7 @@ def _cmd_accel(args: argparse.Namespace) -> int:
     print(f"backend: {status['backend']} (selection: {status['selection']})")
     print(f"numpy: {status['numpy_version'] or 'not importable'}")
     print(f"kill switch (REPRO_ACCEL=0): {'engaged' if status['kill_switch'] else 'off'}")
-    print(
-        "thresholds: "
-        f">={status['min_vertices']} vertices, >={status['min_batch']} batched pairs"
-    )
+    print(f"threshold: >={status['min_vertices']} vertices")
     return 0
 
 

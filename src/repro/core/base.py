@@ -271,6 +271,14 @@ def _instrumented_build(raw: classmethod) -> classmethod:
     return classmethod(build)
 
 
+def _check_pair(num_vertices: int, source: int, target: int) -> None:
+    """The public boundary's range check (negative ids would wrap)."""
+    if not (0 <= source < num_vertices and 0 <= target < num_vertices):
+        raise QueryError(
+            f"query ({source}, {target}) out of range for |V|={num_vertices}"
+        )
+
+
 def guided_query(graph: DiGraph, index: "ReachabilityIndex", source: int, target: int) -> bool:
     """Exact reachability via index-guided BFS (the §5 pruning rules).
 
@@ -282,7 +290,11 @@ def guided_query(graph: DiGraph, index: "ReachabilityIndex", source: int, target
     * NO — the index certifies non-reachability from ``v``: prune ``v``'s
       out-neighbours (rule for partial indexes *without false negatives*);
     * MAYBE — expand ``v`` normally.
+
+    The pair is validated here, once; the walk itself touches only
+    vertices that came out of ``graph``.
     """
+    _check_pair(graph.num_vertices, source, target)
     first = index.lookup(source, target)
     if first is TriState.YES:
         return True
@@ -290,27 +302,37 @@ def guided_query(graph: DiGraph, index: "ReachabilityIndex", source: int, target
         return source == target
     if source == target:
         return True
+    return _guided_walk(graph, index.lookup, source, target)
+
+
+def _guided_walk(graph: DiGraph, probe_of, source: int, target: int) -> bool:
+    """The BFS of :func:`guided_query` over a probe callable.
+
+    For callers that validated the distinct pair and already saw its
+    own probe answer MAYBE (the routed evaluator passes ``_lookup``).
+    """
+    yes, no = TriState.YES, TriState.NO
     deadline = current_deadline()
     expanded = 0
-    seen = bytearray(graph.num_vertices)
+    out = graph._out
+    seen = bytearray(len(out))
     seen[source] = 1
     queue: deque[int] = deque((source,))
     while queue:
-        v = queue.popleft()
         if deadline is not None:
             expanded += 1
             if not expanded % CHECK_STRIDE:
                 deadline.check()
-        for w in graph.out_neighbors(v):
+        for w in out[queue.popleft()]:
             if w == target:
                 return True
             if seen[w]:
                 continue
             seen[w] = 1
-            probe = index.lookup(w, target)
-            if probe is TriState.YES:
+            probe = probe_of(w, target)
+            if probe is yes:
                 return True
-            if probe is TriState.NO:
+            if probe is no:
                 continue  # prune: nothing past w reaches target
             queue.append(w)
     return False
@@ -328,17 +350,20 @@ def guided_query_bidirectional(
     BiBFS, the smaller frontier expands each round, which helps on graphs
     with fan-out in both directions.
     """
-    first = index.lookup(source, target)
+    _check_pair(graph.num_vertices, source, target)
+    probe_of = index.lookup
+    first = probe_of(source, target)
     if first is TriState.YES:
         return True
     if first is TriState.NO:
         return source == target
     if source == target:
         return True
+    yes, no = TriState.YES, TriState.NO
     deadline = current_deadline()
-    n = graph.num_vertices
-    seen_fwd = bytearray(n)
-    seen_bwd = bytearray(n)
+    out, inn = graph._out, graph._in
+    seen_fwd = bytearray(len(out))
+    seen_bwd = bytearray(len(out))
     seen_fwd[source] = 1
     seen_bwd[target] = 1
     frontier_fwd = [source]
@@ -349,32 +374,32 @@ def guided_query_bidirectional(
         if len(frontier_fwd) <= len(frontier_bwd):
             next_frontier: list[int] = []
             for v in frontier_fwd:
-                for w in graph.out_neighbors(v):
+                for w in out[v]:
                     if seen_bwd[w]:
                         return True
                     if seen_fwd[w]:
                         continue
                     seen_fwd[w] = 1
-                    probe = index.lookup(w, target)
-                    if probe is TriState.YES:
+                    probe = probe_of(w, target)
+                    if probe is yes:
                         return True
-                    if probe is TriState.NO:
+                    if probe is no:
                         continue  # nothing past w reaches target
                     next_frontier.append(w)
             frontier_fwd = next_frontier
         else:
             next_frontier = []
             for v in frontier_bwd:
-                for u in graph.in_neighbors(v):
+                for u in inn[v]:
                     if seen_fwd[u]:
                         return True
                     if seen_bwd[u]:
                         continue
                     seen_bwd[u] = 1
-                    probe = index.lookup(source, u)
-                    if probe is TriState.YES:
+                    probe = probe_of(source, u)
+                    if probe is yes:
                         return True
-                    if probe is TriState.NO:
+                    if probe is no:
                         continue  # source reaches nothing before u
                     next_frontier.append(u)
             frontier_bwd = next_frontier
@@ -440,6 +465,7 @@ class _IndexBase(ABC):
         )
 
     def _check_query(self, source: int, target: int) -> None:
+        # _check_pair, inline: this runs once per public scalar call.
         n = self._graph.num_vertices
         if not (0 <= source < n and 0 <= target < n):
             raise QueryError(
@@ -461,9 +487,15 @@ class ReachabilityIndex(_IndexBase):
     """Abstract base for plain reachability indexes (§3).
 
     Subclasses set the class attribute :attr:`metadata` and implement
-    :meth:`build`, :meth:`lookup` and :meth:`size_in_entries`.  ``query`` is
-    exact for every index: complete indexes answer from ``lookup`` alone,
+    :meth:`build`, :meth:`_lookup` and :meth:`size_in_entries`.  ``query`` is
+    exact for every index: complete indexes answer from the probe alone,
     partial ones fall back to guided traversal.
+
+    Validation belongs to the public boundary: ``lookup``,
+    ``lookup_batch``, ``query``, ``query_batch`` and ``explain`` check
+    their arguments once, here, and then call only the unchecked hooks
+    (``_lookup``, ``_lookup_batch``, ``_routed_answer``,
+    ``_query_batch``) a family or wrapper overrides.
     """
 
     #: Span/counter namespace of :meth:`query` (``index.query``,
@@ -486,21 +518,38 @@ class ReachabilityIndex(_IndexBase):
 
     # -- probing --------------------------------------------------------
     @abstractmethod
+    def _lookup(self, source: int, target: int) -> TriState:
+        """The family's raw probe of one *validated* pair.
+
+        MAYBE only for partial indexes.  This is the one method a family
+        writes; every public surface below derives from it.
+        """
+
+    def _lookup_batch(self, pairs: Sequence[tuple[int, int]]) -> list[TriState]:
+        """``_lookup`` over a validated batch, in input order.
+
+        Families override it only where batching measurably amortises
+        work (probe arrays bound once, memoised inner probes) — more
+        than 1.2× over this loop on 256 uniform pairs.
+        """
+        lookup = self._lookup
+        return [lookup(s, t) for s, t in pairs]
+
     def lookup(self, source: int, target: int) -> TriState:
         """Raw index probe; MAYBE only for partial indexes."""
+        self._check_query(source, target)
+        return self._lookup(source, target)
 
     def lookup_batch(self, pairs: Sequence[tuple[int, int]]) -> list[TriState]:
         """Raw index probes for a batch of ``(source, target)`` pairs.
 
         Semantically identical to ``[lookup(s, t) for s, t in pairs]``
         — answers come back in input order and duplicates are answered
-        like any other pair.  The default is exactly that loop;
-        subclasses override it where batching genuinely amortises work
-        (probe-array locals, shared label merges, one traversal per
-        distinct source).
+        like any other pair — except that the whole batch is validated
+        before any pair is probed.
         """
-        lookup = self.lookup
-        return [lookup(s, t) for s, t in pairs]
+        self._check_pairs(pairs)
+        return self._lookup_batch(pairs)
 
     def query_batch(self, pairs: Sequence[tuple[int, int]]) -> list[bool]:
         """Exact reachability answers for a batch of pairs.
@@ -509,7 +558,7 @@ class ReachabilityIndex(_IndexBase):
         validated up front (a :class:`~repro.errors.QueryError` is
         raised before *any* pair is evaluated), answers return in input
         order, and empty batches return ``[]``.  Complete indexes answer
-        from :meth:`lookup_batch` alone.  Partial indexes trust their
+        from the batched probe alone.  Partial indexes trust their
         YES/NO certificates and resolve the remaining MAYBE pairs with
         one shared bit-parallel traversal — all targets of one source
         share a frontier, and distinct sources advance together — rather
@@ -518,7 +567,11 @@ class ReachabilityIndex(_IndexBase):
         self._check_pairs(pairs)
         if not pairs:
             return []
-        probes = self.lookup_batch(pairs)
+        return self._query_batch(pairs)
+
+    def _query_batch(self, pairs: Sequence[tuple[int, int]]) -> list[bool]:
+        """:meth:`query_batch` over a validated, non-empty batch."""
+        probes = self._lookup_batch(pairs)
         complete = self.metadata.complete
         yes, no = TriState.YES, TriState.NO
         answers: list[bool | None] = []
@@ -559,12 +612,7 @@ class ReachabilityIndex(_IndexBase):
         ``<namespace>.query`` span and bumps ``<namespace>.route.<route>``
         once; with it off, no span and no counter.
         """
-        # _check_query, inline: the frame it saves pays for the evaluator's.
-        n = self._graph.num_vertices
-        if not (0 <= source < n and 0 <= target < n):
-            raise QueryError(
-                f"query ({source}, {target}) out of range for |V|={n}"
-            )
+        self._check_query(source, target)
         if not TRACER.enabled:
             return self._routed_answer(source, target)[0]
         namespace = self._obs_namespace
@@ -596,7 +644,7 @@ class ReachabilityIndex(_IndexBase):
         """
         if source == target:
             return True, "trivial", None
-        probe = self.lookup(source, target)
+        probe = self._lookup(source, target)
         if self.metadata.complete:
             if probe is TriState.MAYBE:
                 raise QueryError(
@@ -608,7 +656,7 @@ class ReachabilityIndex(_IndexBase):
         if probe is TriState.NO:
             return False, "certain", probe
         return (
-            guided_query(self._graph, self, source, target),
+            _guided_walk(self._graph, self._lookup, source, target),
             "guided_traversal",
             probe,
         )

@@ -84,22 +84,20 @@ class CondensedIndex(ReachabilityIndex):
         """The SCC condensation of the original graph."""
         return self._condensation
 
-    def lookup(self, source: int, target: int) -> TriState:
+    def _lookup(self, source: int, target: int) -> TriState:
         """Same-SCC queries answer YES; otherwise probe the DAG index."""
-        self._check_query(source, target)
         cs = self._condensation.scc_of[source]
         ct = self._condensation.scc_of[target]
         if cs == ct:
             return TriState.YES
-        return self._inner.lookup(cs, ct)
+        return self._inner._lookup(cs, ct)
 
-    def lookup_batch(self, pairs: Sequence[tuple[int, int]]) -> list[TriState]:
+    def _lookup_batch(self, pairs: Sequence[tuple[int, int]]) -> list[TriState]:
         """Batch probes: same-SCC pairs answer YES, the rest batch inward."""
-        self._check_pairs(pairs)
         scc_of = self._condensation.scc_of
         condensed = [(scc_of[s], scc_of[t]) for s, t in pairs]
         crossing = [(cs, ct) for cs, ct in condensed if cs != ct]
-        inner = iter(self._inner.lookup_batch(crossing))
+        inner = iter(self._inner._lookup_batch(crossing))
         yes = TriState.YES
         return [yes if cs == ct else next(inner) for cs, ct in condensed]
 
@@ -127,18 +125,17 @@ class CondensedIndex(ReachabilityIndex):
             *self._inner._route_details(cs, ct, route, probe),
         )
 
-    def query_batch(self, pairs: Sequence[tuple[int, int]]) -> list[bool]:
+    def _query_batch(self, pairs: Sequence[tuple[int, int]]) -> list[bool]:
         """Batch queries through the SCC map, delegating cross-SCC pairs.
 
         The inner index sees one batched call over the condensation DAG,
         so its own amortised paths (bit-parallel fallback, label merges)
         apply to the whole batch at once.
         """
-        self._check_pairs(pairs)
         scc_of = self._condensation.scc_of
         condensed = [(scc_of[s], scc_of[t]) for s, t in pairs]
         crossing = [(cs, ct) for cs, ct in condensed if cs != ct]
-        inner = iter(self._inner.query_batch(crossing))
+        inner = iter(self._inner._query_batch(crossing))
         return [True if cs == ct else next(inner) for cs, ct in condensed]
 
     def _enumerate_routed(

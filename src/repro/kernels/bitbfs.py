@@ -22,10 +22,11 @@ topological order — generalising the sweep
 (GRAIL exception lists, 2-hop seeding) can share it.
 
 When the optional :mod:`repro.accel` layer is enabled and the snapshot
-is large enough, every public kernel transparently routes to its packed
-``uint64`` numpy twin and converts the result back to the exact values
-the pure-Python path produces — the fallback below stays authoritative
-and is differential-tested against the accelerated path.
+is large enough, :func:`batch_reachable` routes to its packed ``uint64``
+numpy twin, which reads pair answers straight out of the packed matrix.
+The mask-returning kernels stay pure Python: converting packed rows
+back to big ints cost more than the numpy sweep saved at every size
+measured (docs/PERFORMANCE.md).
 """
 
 from __future__ import annotations
@@ -111,13 +112,6 @@ def reach_masks(csr: CSRGraph, sources: Sequence[int]) -> list[int]:
     batched sources to *every* vertex — the multi-source generalisation
     of a single BFS sweep.
     """
-    if sources and isinstance(csr, CSRGraph) and _accel.use_for_graph(
-        csr.num_vertices
-    ):
-        from repro.accel.arrays import arrays_of
-        from repro.accel.bitset import packed_reach_masks, rows_to_ints
-
-        return rows_to_ints(packed_reach_masks(arrays_of(csr), sources))
     return _propagate(
         csr.num_vertices, csr.out_indptr, csr.out_indices, csr.topo_order, sources
     )
@@ -125,15 +119,6 @@ def reach_masks(csr: CSRGraph, sources: Sequence[int]) -> list[int]:
 
 def reverse_reach_masks(csr: CSRGraph, targets: Sequence[int]) -> list[int]:
     """Per-vertex target masks: bit ``i`` of ``masks[v]`` iff ``v ⇝ targets[i]``."""
-    if targets and isinstance(csr, CSRGraph) and _accel.use_for_graph(
-        csr.num_vertices
-    ):
-        from repro.accel.arrays import arrays_of
-        from repro.accel.bitset import packed_reach_masks, rows_to_ints
-
-        return rows_to_ints(
-            packed_reach_masks(arrays_of(csr), targets, forward=False)
-        )
     topo = csr.topo_order
     return _propagate(
         csr.num_vertices,
@@ -154,11 +139,6 @@ def descendant_bitsets(csr: CSRGraph) -> list[int]:
     topo = csr.topo_order
     if topo is None:
         raise NotADAGError("descendant_bitsets requires a DAG")
-    if isinstance(csr, CSRGraph) and _accel.use_for_graph(csr.num_vertices):
-        from repro.accel.arrays import arrays_of
-        from repro.accel.bitset import packed_descendant_bitsets, rows_to_ints
-
-        return rows_to_ints(packed_descendant_bitsets(arrays_of(csr)))
     deadline = current_deadline()
     indptr = csr.out_indptr
     indices = csr.out_indices

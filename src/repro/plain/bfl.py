@@ -87,8 +87,7 @@ class BFLIndex(ReachabilityIndex):
                 in_filter[v] = mask
         return cls(graph, bits, out_filter, in_filter)
 
-    def lookup(self, source: int, target: int) -> TriState:
-        self._check_query(source, target)
+    def _lookup(self, source: int, target: int) -> TriState:
         if source == target:
             return TriState.YES
         if self._out[target] & ~self._out[source]:

@@ -97,8 +97,7 @@ class DaggerIndex(ReachabilityIndex):
             self._high[v] = high
         self._deletions_since_sweep = 0
 
-    def lookup(self, source: int, target: int) -> TriState:
-        self._check_query(source, target)
+    def _lookup(self, source: int, target: int) -> TriState:
         if source == target:
             return TriState.YES
         if self._low[source] <= self._low[target] and self._high[target] <= self._high[source]:

@@ -124,8 +124,7 @@ class DBLIndex(ReachabilityIndex):
         """The landmark (hub) vertices of the DL side."""
         return list(self._hubs)
 
-    def lookup(self, source: int, target: int) -> TriState:
-        self._check_query(source, target)
+    def _lookup(self, source: int, target: int) -> TriState:
         if source == target:
             return TriState.YES
         # DL: shared hub, or endpoint is itself a hub seen by the other side

@@ -113,8 +113,7 @@ class DualLabelingIndex(ReachabilityIndex):
                         in_links[w].append(i)
         return cls(graph, intervals, links, closure, out_links, in_links)
 
-    def lookup(self, source: int, target: int) -> TriState:
-        self._check_query(source, target)
+    def _lookup(self, source: int, target: int) -> TriState:
         a, b = self._intervals[source]
         if a <= self._intervals[target][1] <= b:
             return TriState.YES

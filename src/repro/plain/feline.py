@@ -75,8 +75,7 @@ class FelineIndex(ReachabilityIndex):
             level = topological_levels(graph)
         return cls(graph, x, y, level)
 
-    def lookup(self, source: int, target: int) -> TriState:
-        self._check_query(source, target)
+    def _lookup(self, source: int, target: int) -> TriState:
         if source == target:
             return TriState.YES
         if self._x[source] >= self._x[target]:

@@ -118,8 +118,7 @@ class FerrariIndex(ReachabilityIndex):
             phase.annotate(intervals=sum(len(lst) for lst in lists))
         return cls(graph, tree_intervals, lists)
 
-    def lookup(self, source: int, target: int) -> TriState:
-        self._check_query(source, target)
+    def _lookup(self, source: int, target: int) -> TriState:
         if source == target:
             return TriState.YES
         b_target = self._postorder[target][1]
@@ -133,9 +132,8 @@ class FerrariIndex(ReachabilityIndex):
             return TriState.MAYBE
         return TriState.NO
 
-    def lookup_batch(self, pairs) -> list[TriState]:
+    def _lookup_batch(self, pairs) -> list[TriState]:
         """Batched interval probes with the interval lists bound once."""
-        self._check_pairs(pairs)
         postorder = self._postorder
         intervals = self._intervals
         yes, no, maybe = TriState.YES, TriState.NO, TriState.MAYBE

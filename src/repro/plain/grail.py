@@ -162,12 +162,11 @@ class GrailIndex(ReachabilityIndex):
         """Whether exception lists were materialised (exact lookups)."""
         return self._exceptions is not None
 
-    def lookup(self, source: int, target: int) -> TriState:
+    def _lookup(self, source: int, target: int) -> TriState:
         """NO on any violated containment; MAYBE otherwise (no false negatives).
 
         With exception lists, MAYBE is refined to an exact YES/NO.
         """
-        self._check_query(source, target)
         if source == target:
             return TriState.YES
         for a, b in self._labelings:
@@ -179,9 +178,8 @@ class GrailIndex(ReachabilityIndex):
             return TriState.YES
         return TriState.MAYBE
 
-    def lookup_batch(self, pairs) -> list[TriState]:
+    def _lookup_batch(self, pairs) -> list[TriState]:
         """Batched containment checks with the labelings bound once."""
-        self._check_pairs(pairs)
         labelings = self._labelings
         exceptions = self._exceptions
         yes, no, maybe = TriState.YES, TriState.NO, TriState.MAYBE

@@ -91,13 +91,12 @@ class GrippIndex(ReachabilityIndex):
             pre, post = _dfs_tree_intervals(graph)
         return cls(graph, pre, post)
 
-    def lookup(self, source: int, target: int) -> TriState:
+    def _lookup(self, source: int, target: int) -> TriState:
         """YES when ``t`` is in ``s``'s DFS subtree; MAYBE otherwise.
 
         No NO answers: GRIPP is a partial index *without false positives*,
         so a negative lookup cannot terminate query processing early.
         """
-        self._check_query(source, target)
         if source == target:
             return TriState.YES
         if (

@@ -17,12 +17,12 @@ from __future__ import annotations
 
 from typing import ClassVar
 
-from repro.core.base import IndexMetadata, ReachabilityIndex, TriState
+from repro.core.base import IndexMetadata
 from repro.core.registry import register_plain
 from repro.graphs.digraph import DiGraph
 from repro.graphs.topo import topological_order
 from repro.obs.build import build_phase
-from repro.plain.pruned import TwoHopLabels, build_pruned_labels
+from repro.plain.pruned import TwoHopProbeIndex, build_pruned_labels
 
 __all__ = ["HLIndex"]
 
@@ -60,7 +60,7 @@ def _hierarchy_order(graph: DiGraph) -> list[int]:
 
 
 @register_plain
-class HLIndex(ReachabilityIndex):
+class HLIndex(TwoHopProbeIndex):
     """HL: hierarchy-driven pruned labels with the 2-hop query rule."""
 
     metadata: ClassVar[IndexMetadata] = IndexMetadata(
@@ -71,10 +71,6 @@ class HLIndex(ReachabilityIndex):
         dynamic="no",
     )
 
-    def __init__(self, graph: DiGraph, labels: TwoHopLabels) -> None:
-        super().__init__(graph)
-        self._labels = labels
-
     @classmethod
     def build(cls, graph: DiGraph, **params: object) -> "HLIndex":
         topological_order(graph)  # enforce the DAG input contract
@@ -83,17 +79,3 @@ class HLIndex(ReachabilityIndex):
         with build_phase("pruned-labeling"):
             labels = build_pruned_labels(graph, order)
         return cls(graph, labels)
-
-    @property
-    def labels(self) -> TwoHopLabels:
-        """The hierarchy-ordered label sets."""
-        return self._labels
-
-    def lookup(self, source: int, target: int) -> TriState:
-        self._check_query(source, target)
-        if self._labels.covered(source, target):
-            return TriState.YES
-        return TriState.NO
-
-    def size_in_entries(self) -> int:
-        return self._labels.size_in_entries()

@@ -162,16 +162,14 @@ class TreeCoverIndex(ReachabilityIndex):
             phase.annotate(intervals=sum(len(lst) for lst in interval_lists))
         return cls(graph, tree_intervals, interval_lists)
 
-    def lookup(self, source: int, target: int) -> TriState:
-        self._check_query(source, target)
+    def _lookup(self, source: int, target: int) -> TriState:
         b_target = self._postorder[target][1]
         if interval_list_contains(self._intervals[source], b_target):
             return TriState.YES
         return TriState.NO
 
-    def lookup_batch(self, pairs) -> list[TriState]:
+    def _lookup_batch(self, pairs) -> list[TriState]:
         """Batched interval containment with the hot arrays bound once."""
-        self._check_pairs(pairs)
         postorder = self._postorder
         intervals = self._intervals
         contains = interval_list_contains

@@ -131,8 +131,7 @@ class IPIndex(ReachabilityIndex):
         """Sketch size."""
         return self._k
 
-    def lookup(self, source: int, target: int) -> TriState:
-        self._check_query(source, target)
+    def _lookup(self, source: int, target: int) -> TriState:
         if source == target:
             return TriState.YES
         if _sketch_violates(self._out[target], self._out[source], self._k):
@@ -141,9 +140,8 @@ class IPIndex(ReachabilityIndex):
             return TriState.NO
         return TriState.MAYBE
 
-    def lookup_batch(self, pairs) -> list[TriState]:
+    def _lookup_batch(self, pairs) -> list[TriState]:
         """Batched k-min sketch comparisons with the sketch arrays bound once."""
-        self._check_pairs(pairs)
         out, inn, k = self._out, self._in, self._k
         yes, no, maybe = TriState.YES, TriState.NO, TriState.MAYBE
         results: list[TriState] = []

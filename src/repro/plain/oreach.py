@@ -101,8 +101,7 @@ class OReachIndex(ReachabilityIndex):
             level = topological_levels(graph)
         return cls(graph, supports, reaches, reached_by, rank_fwd, rank_alt, level)
 
-    def lookup(self, source: int, target: int) -> TriState:
-        self._check_query(source, target)
+    def _lookup(self, source: int, target: int) -> TriState:
         if source == target:
             return TriState.YES
         # topological observations: any inverted order certifies NO
@@ -123,9 +122,8 @@ class OReachIndex(ReachabilityIndex):
             return TriState.NO
         return TriState.MAYBE
 
-    def lookup_batch(self, pairs) -> list[TriState]:
+    def _lookup_batch(self, pairs) -> list[TriState]:
         """Batched O'Reach observations with ranks and masks bound once."""
-        self._check_pairs(pairs)
         rank_fwd, rank_alt, level = self._rank_fwd, self._rank_alt, self._level
         reaches, reached_by = self._reaches, self._reached_by
         yes, no, maybe = TriState.YES, TriState.NO, TriState.MAYBE

@@ -31,10 +31,15 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from typing import ClassVar, Literal
 
-from repro.core.base import IndexMetadata, ReachabilityIndex, TriState
+from repro.core.base import IndexMetadata
 from repro.graphs.digraph import DiGraph
 from repro.obs.build import build_phase
-from repro.plain.pruned import TwoHopLabels, degree_order, enumerate_covered
+from repro.plain.pruned import (
+    TwoHopLabels,
+    TwoHopProbeIndex,
+    degree_order,
+    enumerate_covered,
+)
 
 __all__ = ["batched_pruned_labels", "BatchedPLLIndex"]
 
@@ -117,7 +122,7 @@ def batched_pruned_labels(
     return labels
 
 
-class BatchedPLLIndex(ReachabilityIndex):
+class BatchedPLLIndex(TwoHopProbeIndex):
     """PLL built with the batch-synchronous construction (§5 extension).
 
     Answers are identical to :class:`~repro.plain.pll.PLLIndex`; the
@@ -135,8 +140,7 @@ class BatchedPLLIndex(ReachabilityIndex):
     )
 
     def __init__(self, graph: DiGraph, labels: TwoHopLabels, batch_size: int) -> None:
-        super().__init__(graph)
-        self._labels = labels
+        super().__init__(graph, labels)
         self._batch_size = batch_size
 
     @classmethod
@@ -154,24 +158,10 @@ class BatchedPLLIndex(ReachabilityIndex):
         return cls(graph, labels, batch_size)
 
     @property
-    def labels(self) -> TwoHopLabels:
-        """The underlying 2-hop label sets."""
-        return self._labels
-
-    @property
     def batch_size(self) -> int:
         """Hops labeled per synchronisation round."""
         return self._batch_size
 
-    def lookup(self, source: int, target: int) -> TriState:
-        self._check_query(source, target)
-        if self._labels.covered(source, target):
-            return TriState.YES
-        return TriState.NO
-
     def _enumerate_fast(self, vertex: int, forward: bool):
         """Label-join enumeration through the inverted hub index."""
         return enumerate_covered(self._labels, vertex, forward)
-
-    def size_in_entries(self) -> int:
-        return self._labels.size_in_entries()

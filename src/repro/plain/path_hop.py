@@ -113,8 +113,7 @@ class PathHopIndex(ReachabilityIndex):
             )
         return cls(graph, intervals, l_in, l_out)
 
-    def lookup(self, source: int, target: int) -> TriState:
-        self._check_query(source, target)
+    def _lookup(self, source: int, target: int) -> TriState:
         if source == target:
             return TriState.YES
         lo_s, hi_s = 0, 0

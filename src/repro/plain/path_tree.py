@@ -84,8 +84,7 @@ class PathTreeIndex(ReachabilityIndex):
         """The chain cover this index is built over."""
         return self._decomposition
 
-    def lookup(self, source: int, target: int) -> TriState:
-        self._check_query(source, target)
+    def _lookup(self, source: int, target: int) -> TriState:
         chain = self._decomposition.chain_of[target]
         if self._reach[source][chain] <= self._decomposition.position_of[target]:
             return TriState.YES

@@ -15,12 +15,12 @@ from __future__ import annotations
 
 from typing import ClassVar
 
-from repro.core.base import IndexMetadata, ReachabilityIndex, TriState
+from repro.core.base import IndexMetadata
 from repro.core.registry import register_plain
 from repro.graphs.digraph import DiGraph
 from repro.obs.build import build_phase
 from repro.plain.pruned import (
-    TwoHopLabels,
+    TwoHopProbeIndex,
     build_pruned_labels,
     degree_order,
     enumerate_covered,
@@ -29,12 +29,8 @@ from repro.plain.pruned import (
 __all__ = ["PLLIndex", "DLIndex"]
 
 
-class _DegreeOrderedTwoHop(ReachabilityIndex):
+class _DegreeOrderedTwoHop(TwoHopProbeIndex):
     """Shared body of the degree-ordered complete 2-hop indexes."""
-
-    def __init__(self, graph: DiGraph, labels: TwoHopLabels) -> None:
-        super().__init__(graph)
-        self._labels = labels
 
     @classmethod
     def build(cls, graph: DiGraph, **params: object) -> "_DegreeOrderedTwoHop":
@@ -49,29 +45,9 @@ class _DegreeOrderedTwoHop(ReachabilityIndex):
     def _order(graph: DiGraph) -> list[int]:
         return degree_order(graph)
 
-    @property
-    def labels(self) -> TwoHopLabels:
-        """The underlying 2-hop label sets."""
-        return self._labels
-
-    def lookup(self, source: int, target: int) -> TriState:
-        self._check_query(source, target)
-        if self._labels.covered(source, target):
-            return TriState.YES
-        return TriState.NO
-
-    def lookup_batch(self, pairs) -> list[TriState]:
-        """Batched 2-hop merges via :meth:`TwoHopLabels.covered_many`."""
-        self._check_pairs(pairs)
-        yes, no = TriState.YES, TriState.NO
-        return [yes if c else no for c in self._labels.covered_many(pairs)]
-
     def _enumerate_fast(self, vertex: int, forward: bool):
         """Label-join enumeration through the inverted hub index."""
         return enumerate_covered(self._labels, vertex, forward)
-
-    def size_in_entries(self) -> int:
-        return self._labels.size_in_entries()
 
 
 @register_plain

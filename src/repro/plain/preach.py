@@ -116,8 +116,7 @@ class PReaCHIndex(ReachabilityIndex):
             level_bwd = topological_levels(reverse)
         return cls(graph, fwd, bwd, level_fwd, level_bwd)
 
-    def lookup(self, source: int, target: int) -> TriState:
-        self._check_query(source, target)
+    def _lookup(self, source: int, target: int) -> TriState:
         if source == target:
             return TriState.YES
         # YES: target inside source's forward DFS *tree* interval,
@@ -146,9 +145,8 @@ class PReaCHIndex(ReachabilityIndex):
             return TriState.NO
         return TriState.MAYBE
 
-    def lookup_batch(self, pairs) -> list[TriState]:
+    def _lookup_batch(self, pairs) -> list[TriState]:
         """Batched PReaCH observations with all eight arrays bound once."""
-        self._check_pairs(pairs)
         fwd_post, fwd_reach, fwd_tree = self._fwd_post, self._fwd_reach, self._fwd_tree
         bwd_post, bwd_reach, bwd_tree = self._bwd_post, self._bwd_reach, self._bwd_tree
         level_fwd, level_bwd = self._level_fwd, self._level_bwd

@@ -21,49 +21,41 @@ from __future__ import annotations
 
 from collections import deque
 
-from repro import accel as _accel
+from repro.core.base import ReachabilityIndex, TriState
 from repro.graphs.digraph import DiGraph
 
-__all__ = ["TwoHopLabels", "build_pruned_labels", "degree_order", "labels_cover"]
+__all__ = [
+    "TwoHopLabels",
+    "TwoHopProbeIndex",
+    "build_pruned_labels",
+    "degree_order",
+    "labels_cover",
+]
 
 
 class TwoHopLabels:
     """Per-vertex ``L_in`` / ``L_out`` hop sets with the 2-hop query rule.
 
-    Large batched probes may route through a flattened
-    :class:`repro.accel.labels.LabelArrays` twin when the acceleration
-    layer is enabled; the twin is cached per label *version*, so any
-    code that mutates ``l_in``/``l_out`` in place must call
-    :meth:`bump_version` (the engine's mutators here and in
+    The inverted hub maps behind set enumeration are cached per label
+    *version*, so any code that mutates ``l_in``/``l_out`` in place
+    must call :meth:`bump_version` (the engine's mutators here and in
     :mod:`repro.plain.parallel` already do).
     """
 
-    __slots__ = ("l_in", "l_out", "_version", "_arrays", "_inverted")
+    __slots__ = ("l_in", "l_out", "_version", "_inverted")
 
     def __init__(self, num_vertices: int) -> None:
         self.l_in: list[set[int]] = [set() for _ in range(num_vertices)]
         self.l_out: list[set[int]] = [set() for _ in range(num_vertices)]
         self._version = 0
-        self._arrays: tuple[int, object] | None = None
         self._inverted: tuple[int, tuple[dict, dict]] | None = None
 
     def bump_version(self) -> None:
-        """Invalidate the flattened-array cache after an in-place mutation."""
+        """Invalidate the inverted-hub cache after an in-place mutation."""
         self._version += 1
 
-    def _label_arrays(self):
-        """The flattened twin of the current labels, built lazily."""
-        cached = self._arrays
-        if cached is not None and cached[0] == self._version:
-            return cached[1]
-        from repro.accel.labels import LabelArrays
-
-        arrays = LabelArrays(self.l_in, self.l_out)
-        self._arrays = (self._version, arrays)
-        return arrays
-
     def __getstate__(self) -> dict[str, object]:
-        """Persistable state: the sets only, never the numpy twin."""
+        """Persistable state: the sets only, never the derived caches."""
         return {"l_in": self.l_in, "l_out": self.l_out}
 
     def __setstate__(self, state: object) -> None:
@@ -75,7 +67,6 @@ class TwoHopLabels:
         self.l_in = state["l_in"]
         self.l_out = state["l_out"]
         self._version = 0
-        self._arrays = None
         self._inverted = None
 
     def covered(self, source: int, target: int) -> bool:
@@ -89,15 +80,7 @@ class TwoHopLabels:
         return not l_out.isdisjoint(l_in)
 
     def covered_many(self, pairs) -> list[bool]:
-        """The query rule over a batch of pairs, label arrays bound once.
-
-        Batches past the acceleration threshold vectorize through the
-        flattened twin (one membership scatter + gather/reduceat per
-        distinct source); smaller batches — and every batch when the
-        layer is off — keep the authoritative set probes.
-        """
-        if _accel.use_for_batch(len(pairs)):
-            return self._label_arrays().covered_many(pairs)
+        """The query rule over a batch of pairs, label arrays bound once."""
         l_in_all = self.l_in
         l_out_all = self.l_out
         answers: list[bool] = []
@@ -178,6 +161,37 @@ class TwoHopLabels:
             entries.discard(hop)
         for entries in self.l_out:
             entries.discard(hop)
+
+
+class TwoHopProbeIndex(ReachabilityIndex):
+    """What every complete 2-hop family shares: the §3.2 probe.
+
+    PLL/DL, the TOL family, greedy 2-Hop, HL and batched PLL differ in
+    how they build (and maintain) ``labels``; the probe, its batched
+    form and the size metric are this one copy.
+    """
+
+    def __init__(self, graph: DiGraph, labels: TwoHopLabels) -> None:
+        super().__init__(graph)
+        self._labels = labels
+
+    @property
+    def labels(self) -> TwoHopLabels:
+        """The underlying 2-hop label sets."""
+        return self._labels
+
+    def _lookup(self, source: int, target: int) -> TriState:
+        if self._labels.covered(source, target):
+            return TriState.YES
+        return TriState.NO
+
+    def _lookup_batch(self, pairs) -> list[TriState]:
+        """Batched 2-hop merges via :meth:`TwoHopLabels.covered_many`."""
+        yes, no = TriState.YES, TriState.NO
+        return [yes if c else no for c in self._labels.covered_many(pairs)]
+
+    def size_in_entries(self) -> int:
+        return self._labels.size_in_entries()
 
 
 def labels_cover(labels: TwoHopLabels, source: int, target: int) -> bool:

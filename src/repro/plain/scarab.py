@@ -112,9 +112,8 @@ class ScarabBackboneIndex(ReachabilityIndex):
     def _backbone_query(self, b1: int, b2: int) -> bool:
         return self._inner.query(b1, b2)
 
-    def lookup(self, source: int, target: int) -> TriState:
+    def _lookup(self, source: int, target: int) -> TriState:
         """Exact routing through the backbone (complete: YES or NO)."""
-        self._check_query(source, target)
         if source == target:
             return TriState.YES
         graph = self._graph
@@ -143,53 +142,6 @@ class ScarabBackboneIndex(ReachabilityIndex):
                 if self._backbone_query(b1, b2):
                     return TriState.YES
         return TriState.NO
-
-    def lookup_batch(self, pairs) -> list[TriState]:
-        """Batched backbone routing with inner probes memoised per batch.
-
-        Pairs in one batch often funnel through the same few hub pairs;
-        memoising ``inner.query`` answers for the batch's lifetime makes
-        the candidate double loop pay for each hub pair once.
-        """
-        self._check_pairs(pairs)
-        graph = self._graph
-        backbone_of = self._backbone_of
-        has_edge = graph.has_edge
-        out_lists = graph._out
-        in_lists = graph._in
-        inner_query = self._inner.query
-        memo: dict[tuple[int, int], bool] = {}
-        yes, no = TriState.YES, TriState.NO
-        results: list[TriState] = []
-        append = results.append
-        for s, t in pairs:
-            if s == t or has_edge(s, t):
-                append(yes)
-                continue
-            entries = [backbone_of[w] for w in out_lists[s] if backbone_of[w] != -1]
-            if not entries:
-                append(no)
-                continue
-            exit_set = {backbone_of[u] for u in in_lists[t] if backbone_of[u] != -1}
-            if not exit_set:
-                append(no)
-                continue
-            answer = no
-            for b1 in entries:
-                if b1 in exit_set:
-                    answer = yes
-                    break
-                for b2 in exit_set:
-                    hit = memo.get((b1, b2))
-                    if hit is None:
-                        hit = memo[(b1, b2)] = inner_query(b1, b2)
-                    if hit:
-                        answer = yes
-                        break
-                if answer is yes:
-                    break
-            append(answer)
-        return results
 
     def size_in_entries(self) -> int:
         """Inner entries plus the backbone membership map."""

@@ -67,9 +67,8 @@ class TreeSSPIIndex(ReachabilityIndex):
         a, b = self._intervals[source]
         return a <= self._intervals[target][1] <= b
 
-    def lookup(self, source: int, target: int) -> TriState:
+    def _lookup(self, source: int, target: int) -> TriState:
         """YES via subtree or a one-hop SSPI link; MAYBE otherwise."""
-        self._check_query(source, target)
         if source == target:
             return TriState.YES
         if self._in_subtree(source, target):

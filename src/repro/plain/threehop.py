@@ -133,8 +133,7 @@ class ThreeHopIndex(ReachabilityIndex):
             return rows[0][1]
         return rows[pos - 1][1]
 
-    def lookup(self, source: int, target: int) -> TriState:
-        self._check_query(source, target)
+    def _lookup(self, source: int, target: int) -> TriState:
         target_chain = self._decomposition.chain_of[target]
         target_pos = self._decomposition.position_of[target]
         for c, p in self._contours[source]:

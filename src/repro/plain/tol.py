@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from typing import ClassVar
 
-from repro.core.base import IndexMetadata, ReachabilityIndex, TriState
+from repro.core.base import IndexMetadata
 from repro.core.registry import register_plain
 from repro.errors import NotADAGError, UnsupportedOperationError
 from repro.graphs.digraph import DiGraph
@@ -42,6 +42,7 @@ from repro.graphs.topo import topological_order, topological_rank
 from repro.obs.build import build_phase
 from repro.plain.pruned import (
     TwoHopLabels,
+    TwoHopProbeIndex,
     build_pruned_labels,
     degree_order,
     enumerate_covered,
@@ -55,14 +56,13 @@ from repro.traversal.online import descendants as reach_descendants
 __all__ = ["TOLIndex", "TFLIndex", "U2HopIndex", "HOPIIndex"]
 
 
-class _DynamicTwoHop(ReachabilityIndex):
+class _DynamicTwoHop(TwoHopProbeIndex):
     """Complete 2-hop labels over a total order, with update support."""
 
     _requires_dag: ClassVar[bool] = True
 
     def __init__(self, graph: DiGraph, labels: TwoHopLabels, order: list[int]) -> None:
-        super().__init__(graph)
-        self._labels = labels
+        super().__init__(graph, labels)
         self._order = order
         self._rank = {v: i for i, v in enumerate(order)}
 
@@ -80,33 +80,13 @@ class _DynamicTwoHop(ReachabilityIndex):
         return degree_order(graph)
 
     @property
-    def labels(self) -> TwoHopLabels:
-        """The underlying 2-hop label sets."""
-        return self._labels
-
-    @property
     def order(self) -> list[int]:
         """The total order the labeling was built with."""
         return list(self._order)
 
-    def lookup(self, source: int, target: int) -> TriState:
-        self._check_query(source, target)
-        if self._labels.covered(source, target):
-            return TriState.YES
-        return TriState.NO
-
-    def lookup_batch(self, pairs) -> list[TriState]:
-        """Batched 2-hop merges via :meth:`TwoHopLabels.covered_many`."""
-        self._check_pairs(pairs)
-        yes, no = TriState.YES, TriState.NO
-        return [yes if c else no for c in self._labels.covered_many(pairs)]
-
     def _enumerate_fast(self, vertex: int, forward: bool):
         """Label-join enumeration through the inverted hub index."""
         return enumerate_covered(self._labels, vertex, forward)
-
-    def size_in_entries(self) -> int:
-        return self._labels.size_in_entries()
 
     # -- dynamic maintenance ------------------------------------------------
     def insert_edge(self, source: int, target: int) -> None:

@@ -77,22 +77,19 @@ class TransitiveClosureIndex(ReachabilityIndex):
         with build_phase("scc-condense") as phase:
             condensation = condense(graph)
             phase.annotate(sccs=condensation.dag.num_vertices)
-        with build_phase("closure-kernel") as phase:
+        with build_phase("closure-kernel"):
             closure = descendant_bitsets(csr_of(condensation.dag))
-            phase.annotate(backend=accel.backend_name())
         return cls(graph, condensation.scc_of, closure)
 
-    def lookup(self, source: int, target: int) -> TriState:
-        self._check_query(source, target)
+    def _lookup(self, source: int, target: int) -> TriState:
         cs = self._scc_of[source]
         ct = self._scc_of[target]
         if (self._closure[cs] >> ct) & 1:
             return TriState.YES
         return TriState.NO
 
-    def lookup_batch(self, pairs: Sequence[tuple[int, int]]) -> list[TriState]:
+    def _lookup_batch(self, pairs: Sequence[tuple[int, int]]) -> list[TriState]:
         """Direct closure probes with the hot arrays bound once."""
-        self._check_pairs(pairs)
         scc_of = self._scc_of
         closure = self._closure
         yes, no = TriState.YES, TriState.NO

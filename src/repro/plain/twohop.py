@@ -18,13 +18,13 @@ from __future__ import annotations
 
 from typing import ClassVar
 
-from repro.core.base import IndexMetadata, ReachabilityIndex, TriState
+from repro.core.base import IndexMetadata
 from repro.core.registry import register_plain
 from repro.graphs.digraph import DiGraph
 from repro.graphs.scc import condense
 from repro.graphs.topo import topological_order
 from repro.obs.build import build_phase
-from repro.plain.pruned import TwoHopLabels, enumerate_covered
+from repro.plain.pruned import TwoHopLabels, TwoHopProbeIndex, enumerate_covered
 
 __all__ = ["TwoHopIndex"]
 
@@ -66,7 +66,7 @@ def _vertex_closures(graph: DiGraph) -> tuple[list[int], list[int]]:
 
 
 @register_plain
-class TwoHopIndex(ReachabilityIndex):
+class TwoHopIndex(TwoHopProbeIndex):
     """Cohen et al.'s greedy 2-hop cover (small-graph regime)."""
 
     metadata: ClassVar[IndexMetadata] = IndexMetadata(
@@ -76,10 +76,6 @@ class TwoHopIndex(ReachabilityIndex):
         input_kind="General",
         dynamic="no",
     )
-
-    def __init__(self, graph: DiGraph, labels: TwoHopLabels) -> None:
-        super().__init__(graph)
-        self._labels = labels
 
     @classmethod
     def build(cls, graph: DiGraph, **params: object) -> "TwoHopIndex":
@@ -135,26 +131,6 @@ class TwoHopIndex(ReachabilityIndex):
             phase.annotate(rounds=rounds)
         return cls(graph, labels)
 
-    @property
-    def labels(self) -> TwoHopLabels:
-        """The greedy 2-hop label sets."""
-        return self._labels
-
-    def lookup(self, source: int, target: int) -> TriState:
-        self._check_query(source, target)
-        if self._labels.covered(source, target):
-            return TriState.YES
-        return TriState.NO
-
-    def lookup_batch(self, pairs) -> list[TriState]:
-        """Batched 2-hop merges via :meth:`TwoHopLabels.covered_many`."""
-        self._check_pairs(pairs)
-        yes, no = TriState.YES, TriState.NO
-        return [yes if c else no for c in self._labels.covered_many(pairs)]
-
     def _enumerate_fast(self, vertex: int, forward: bool):
         """Label-join enumeration through the inverted hub index."""
         return enumerate_covered(self._labels, vertex, forward)
-
-    def size_in_entries(self) -> int:
-        return self._labels.size_in_entries()

@@ -499,7 +499,8 @@ class ReachabilityService:
     def _read(self, snap: Snapshot, keys, evaluate, effects: bool = True) -> list:
         """The one guarded read pipeline every read surface runs through.
 
-        Cache probe → breaker gate → ``evaluate(snap, misses)`` →
+        Key validation → cache probe → breaker gate →
+        ``evaluate(snap, misses)`` →
         (deadline expiry → ``deadline_abort`` | index failure → breaker
         failure + bounded probe) → cache put / route counters / shadow
         audit.  ``keys`` are distinct ``(source, target, constraint)``
@@ -512,6 +513,15 @@ class ReachabilityService:
         ``allow`` may hand out the single half-open trial, and a trial
         that never reports back would wedge the breaker.
         """
+        # Caller mistakes stay errors whatever the breaker state: checked
+        # here, once, so the healthy, open-breaker and index-raises paths
+        # agree and the degraded probe below may skip the check.
+        n = snap.graph.num_vertices
+        for source, target, _constraint in keys:
+            if not (0 <= source < n and 0 <= target < n):
+                raise QueryError(
+                    f"query ({source}, {target}) out of range for |V|={n}"
+                )
         epoch = snap.epoch
         cache = self._cache
         outcomes: list = [None] * len(keys)
@@ -589,7 +599,7 @@ class ReachabilityService:
         if constraint is not None:
             return None
         try:
-            probe = snap.plain.lookup(source, target)
+            probe = snap.plain._lookup(source, target)
         except Exception:
             return None
         if probe is TriState.YES:

@@ -561,12 +561,11 @@ class ShardedIndex(ReachabilityIndex):
         return self._boundary_graph
 
     # -- probing ----------------------------------------------------------
-    def lookup(self, source: int, target: int) -> TriState:
+    def _lookup(self, source: int, target: int) -> TriState:
         """Exact probe: the two-level composition never answers MAYBE."""
-        self._check_query(source, target)
         return TriState.YES if self._routed_answer(source, target)[0] else TriState.NO
 
-    def query_batch(self, pairs: Sequence[tuple[int, int]]) -> list[bool]:
+    def _query_batch(self, pairs: Sequence[tuple[int, int]]) -> list[bool]:
         """Batched two-level resolution.
 
         Same-shard pairs go through each shard index's own
@@ -575,9 +574,6 @@ class ShardedIndex(ReachabilityIndex):
         cross-shard pairs — resolve through one batched border
         composition against the boundary index.
         """
-        self._check_pairs(pairs)
-        if not pairs:
-            return []
         answers: list[bool | None] = [None] * len(pairs)
         shard_of = self._shard_of
         local_of = self._local_of

@@ -15,17 +15,10 @@ import random
 import pytest
 
 from repro import accel
-from repro.errors import NotADAGError
 from repro.graphs.digraph import DiGraph
 from repro.graphs.generators import gnp_digraph, layered_dag, random_dag
-from repro.kernels import (
-    batch_reachable,
-    csr_of,
-    descendant_bitsets,
-    reach_masks,
-    reverse_reach_masks,
-)
-from repro.plain.pruned import TwoHopLabels, build_pruned_labels, degree_order
+from repro.kernels import batch_reachable, csr_of, reach_masks, reverse_reach_masks
+from repro.plain.pruned import build_pruned_labels, degree_order
 
 needs_numpy = pytest.mark.skipif(
     not accel.available() or accel.kill_switch_engaged(),
@@ -87,42 +80,33 @@ def _pairs(graph: DiGraph, count: int, seed: int) -> list[tuple[int, int]]:
 @needs_numpy
 @pytest.mark.parametrize("shape", sorted(_graph_matrix()))
 class TestKernelDifferential:
-    """python vs numpy over every kernel entry point, bit for bit."""
+    """python vs numpy over every surviving numpy kernel, bit for bit.
 
-    def _csr(self, shape):
-        return csr_of(_graph_matrix()[shape])
+    ``reach_masks``/``reverse_reach_masks`` no longer dispatch to numpy
+    (the conversion back to big ints lost everywhere), but the packed
+    sweep survives underneath ``batch_reachable``; it is compared row
+    by row against the authoritative Python masks.
+    """
+
+    @staticmethod
+    def _packed_rows(graph, sources, forward):
+        from repro.accel.arrays import arrays_of
+        from repro.accel.bitset import packed_reach_masks
+
+        packed = packed_reach_masks(arrays_of(csr_of(graph)), sources, forward)
+        return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
     def test_reach_masks(self, shape):
         graph = _graph_matrix()[shape]
-        csr = csr_of(graph)
         sources = _sources(graph, 70, seed=21)  # > one uint64 word
-        accel.set_backend("python")
-        expected = reach_masks(csr, sources)
-        accel.set_backend("numpy")
-        assert reach_masks(csr, sources) == expected
+        expected = reach_masks(csr_of(graph), sources)
+        assert self._packed_rows(graph, sources, forward=True) == expected
 
     def test_reverse_reach_masks(self, shape):
         graph = _graph_matrix()[shape]
-        csr = csr_of(graph)
         targets = _sources(graph, 70, seed=22)
-        accel.set_backend("python")
-        expected = reverse_reach_masks(csr, targets)
-        accel.set_backend("numpy")
-        assert reverse_reach_masks(csr, targets) == expected
-
-    def test_descendant_bitsets(self, shape):
-        csr = self._csr(shape)
-        accel.set_backend("python")
-        try:
-            expected = descendant_bitsets(csr)
-        except NotADAGError:
-            expected = NotADAGError
-        accel.set_backend("numpy")
-        if expected is NotADAGError:
-            with pytest.raises(NotADAGError):
-                descendant_bitsets(csr)
-        else:
-            assert descendant_bitsets(csr) == expected
+        expected = reverse_reach_masks(csr_of(graph), targets)
+        assert self._packed_rows(graph, targets, forward=False) == expected
 
     def test_batch_reachable(self, shape):
         graph = _graph_matrix()[shape]
@@ -139,54 +123,25 @@ def test_masks_match_on_large_auto_threshold_graph():
     """`auto` routes big graphs to numpy; answers still match python."""
     graph = random_dag(800, 2400, seed=31)
     csr = csr_of(graph)
-    sources = _sources(graph, 100, seed=32)
+    pairs = _pairs(graph, 300, seed=32)
     assert accel.use_for_graph(csr.num_vertices)
-    auto_masks = reach_masks(csr, sources)
+    auto_answers = batch_reachable(csr, pairs)
     accel.set_backend("python")
-    assert reach_masks(csr, sources) == auto_masks
+    assert batch_reachable(csr, pairs) == auto_answers
 
 
 # -- label probe -----------------------------------------------------------
-@needs_numpy
 class TestLabelDifferential:
-    def _labels(self, graph):
-        return build_pruned_labels(graph, degree_order(graph))
+    """The batched 2-hop probe is one Python loop (its numpy twin lost at
+    every batch shape and was retired); it must still equal the scalar
+    §3.2 rule pair for pair."""
 
     @pytest.mark.parametrize("shape", ["dag", "cyclic", "chain", "sparse"])
     def test_covered_many(self, shape):
         graph = _graph_matrix()[shape]
-        labels = self._labels(graph)
+        labels = build_pruned_labels(graph, degree_order(graph))
         pairs = _pairs(graph, 200, seed=41)
-        accel.set_backend("python")
-        expected = labels.covered_many(pairs)
-        accel.set_backend("numpy")
-        assert labels.covered_many(pairs) == expected
-        singles = [labels.covered(s, t) for s, t in pairs]
-        assert singles == expected
-
-    def test_mutation_invalidates_cached_arrays(self):
-        graph = _graph_matrix()["dag"]
-        labels = self._labels(graph)
-        pairs = _pairs(graph, 120, seed=42)
-        accel.set_backend("numpy")
-        labels.covered_many(pairs)  # populate the flattened twin
-        hop = max(range(graph.num_vertices), key=lambda v: len(labels.l_in[v]))
-        labels.remove_hop(hop)
-        accel.set_backend("python")
-        expected = labels.covered_many(pairs)
-        accel.set_backend("numpy")
-        assert labels.covered_many(pairs) == expected
-
-    def test_pickle_excludes_array_twin(self):
-        graph = _graph_matrix()["dag"]
-        labels = self._labels(graph)
-        accel.set_backend("numpy")
-        labels.covered_many(_pairs(graph, 50, seed=43))
-        clone = pickle.loads(pickle.dumps(labels))
-        assert clone._arrays is None
-        assert clone.l_in == labels.l_in
-        assert clone.l_out == labels.l_out
-        assert clone.size_in_entries() == labels.size_in_entries()
+        assert labels.covered_many(pairs) == [labels.covered(s, t) for s, t in pairs]
 
 
 # -- CSR arrays and shared memory -----------------------------------------
@@ -304,7 +259,6 @@ class TestBackendSelection:
         assert not accel.enabled()
         assert accel.backend_name() == "python"
         assert not accel.use_for_graph(10**9)
-        assert not accel.use_for_batch(10**9)
 
     def test_kill_switch_disables_layer(self, monkeypatch):
         monkeypatch.setenv("REPRO_ACCEL", "0")
@@ -332,7 +286,6 @@ class TestBackendSelection:
             accel.set_backend("numpy")
             assert accel.backend_name() == "numpy"
             assert accel.use_for_graph(1)  # forcing bypasses thresholds
-            assert accel.use_for_batch(1)
         else:
             with pytest.raises(ValueError):
                 accel.set_backend("numpy")
@@ -345,8 +298,6 @@ class TestBackendSelection:
             return
         assert not accel.use_for_graph(accel.MIN_VERTICES - 1)
         assert accel.use_for_graph(accel.MIN_VERTICES)
-        assert not accel.use_for_batch(accel.MIN_BATCH - 1)
-        assert accel.use_for_batch(accel.MIN_BATCH)
 
     def test_describe_shape(self):
         status = accel.describe()

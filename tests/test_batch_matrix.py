@@ -16,6 +16,7 @@ from repro.core.registry import all_plain_indexes
 from repro.errors import QueryError
 from repro.graphs.generators import gnp_digraph, random_dag
 from repro.graphs.topo import is_dag
+from repro.shard.engine import ShardedIndex
 
 PLAIN = all_plain_indexes()
 
@@ -71,10 +72,41 @@ def test_empty_batch(name):
     assert index.query_batch([]) == []
 
 
-@pytest.mark.parametrize("name", sorted(PLAIN))
+def _boundary_index(name):
+    """Every registered family over the DAG, plus both wrappers in the
+    shape that exercises them."""
+    if name == "Condensed(cyclic)":
+        graph = GRAPHS["cyclic"]()
+        assert not is_dag(graph)
+        return CondensedIndex.build(graph, inner=PLAIN["GRAIL"])
+    if name == "Sharded(k=2)":
+        return ShardedIndex.build(GRAPHS["dag"](), num_shards=2, family="PLL")
+    return _build(name, GRAPHS["dag"]())
+
+
+@pytest.mark.parametrize(
+    "name", sorted(PLAIN) + ["Condensed(cyclic)", "Sharded(k=2)"]
+)
 def test_out_of_range_pair_rejected(name):
-    index = _build(name, GRAPHS["dag"]())
+    index = _boundary_index(name)
     with pytest.raises(QueryError):
         index.query_batch([(0, 1), (0, 999)])
     with pytest.raises(QueryError):
         index.lookup_batch([(-1, 0)])
+    # The boundary is airtight: every public surface rejects every bad
+    # pair — negative ids would otherwise wrap an unchecked list index —
+    # and a batch whose *last* pair is bad evaluates nothing first.
+    n = index.graph.num_vertices
+
+    def unreachable(*_args):
+        raise AssertionError("an unchecked hook ran before validation")
+
+    for hook in ("_lookup", "_lookup_batch", "_routed_answer", "_query_batch"):
+        setattr(index, hook, unreachable)
+    for bad in [(-1, 0), (0, -1), (0, n)]:
+        for scalar in (index.lookup, index.query, index.explain):
+            with pytest.raises(QueryError):
+                scalar(*bad)
+        for batched in (index.lookup_batch, index.query_batch):
+            with pytest.raises(QueryError):
+                batched([(0, 1), (2, 3), bad])

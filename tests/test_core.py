@@ -84,6 +84,19 @@ class TestGuidedQuery:
         assert guided_query(small_dag, index_self, 3, 3)
 
 
+    @pytest.mark.parametrize("bad", [(-1, 0), (0, -1), (8, 0), (0, 8)])
+    def test_out_of_range_endpoints_raise_not_wrap(self, small_dag, bad):
+        """Public entry points validate once; a ``lookup``-only stub
+        never sees an id that an unchecked list index would wrap."""
+        from repro.core.base import guided_query_bidirectional
+
+        assert small_dag.num_vertices == 8
+        index = _OnlyNoIndex(set())
+        for entry in (guided_query, guided_query_bidirectional):
+            with pytest.raises(QueryError):
+                entry(small_dag, index, *bad)
+
+
 class TestCondensedIndex:
     def test_requires_inner(self):
         with pytest.raises(TypeError):

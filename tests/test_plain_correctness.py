@@ -95,6 +95,39 @@ def test_out_of_range_query_raises(name):
         index.query(0, 99)
     with pytest.raises(QueryError):
         index.query(-1, 0)
+    for bad in [(-1, 0), (0, -1), (0, 10)]:
+        for surface in (index.lookup, index.query, index.explain):
+            with pytest.raises(QueryError):
+                surface(*bad)
+
+
+def test_families_implement_only_the_unchecked_probe():
+    """One probe, validated once: ``core/base.py`` alone defines the
+    public ``lookup``/``lookup_batch``; families write ``_lookup`` (and
+    optionally ``_lookup_batch``) and never validate."""
+    import importlib
+    import inspect
+    import pathlib
+    import pkgutil
+
+    import repro.plain
+    from repro.core.base import ReachabilityIndex
+    from repro.core.condensed import CondensedIndex
+    from repro.shard.engine import ShardedIndex
+
+    for info in pkgutil.iter_modules(repro.plain.__path__):
+        module = importlib.import_module(f"repro.plain.{info.name}")
+        source = pathlib.Path(module.__file__).read_text()
+        assert "_check_query(" not in source, info.name
+        assert "_check_pairs(" not in source, info.name
+        for _name, cls in inspect.getmembers(module, inspect.isclass):
+            if cls.__module__ == module.__name__:
+                assert "lookup" not in vars(cls), cls
+                assert "lookup_batch" not in vars(cls), cls
+    for cls in [*PLAIN.values(), CondensedIndex, ShardedIndex]:
+        assert cls.lookup is ReachabilityIndex.lookup, cls
+        assert cls.lookup_batch is ReachabilityIndex.lookup_batch, cls
+        assert cls.query_batch is ReachabilityIndex.query_batch, cls
 
 
 @pytest.mark.parametrize("name", sorted(PLAIN))

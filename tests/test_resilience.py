@@ -16,7 +16,7 @@ import urllib.request
 
 import pytest
 
-from repro.errors import DeadlineExceeded, ServiceOverloadedError
+from repro.errors import DeadlineExceeded, QueryError, ServiceOverloadedError
 from repro.graphs.generators import random_dag
 from repro.resilience import (
     CircuitBreaker,
@@ -494,6 +494,30 @@ class TestEngineDegradation:
                 (scalar.answer, scalar.route),
                 (batched.answer, batched.route),
             ]
+
+    @pytest.mark.parametrize("breaker", ["healthy", "breaker open"])
+    @pytest.mark.parametrize("surface", ["reach_ex", "execute_batch", "explain"])
+    def test_caller_mistakes_stay_errors(self, surface, breaker):
+        """An out-of-range vertex is the caller's error, not an index
+        failure: it raises whatever the breaker state, never UNKNOWN."""
+        graph = random_dag(30, 60, seed=79)
+        service = ReachabilityService(
+            graph, index="PLL", breaker_threshold=1, breaker_cooldown_s=300.0
+        )
+        if breaker == "breaker open":
+            service.breaker.trip("test")
+        ask = {
+            "reach_ex": service.reach_ex,
+            "execute_batch": lambda s, t: service.execute_batch([(0, 1), (s, t)]),
+            "explain": service.explain,
+        }[surface]
+        for bad in [(10**6, 0), (-1, 0), (0, 30), (0, -1)]:
+            with pytest.raises(QueryError):
+                ask(*bad)
+        # the mistakes neither tripped nor healed the breaker
+        assert service.breaker.state == (
+            "open" if breaker == "breaker open" else "closed"
+        )
 
     def test_metrics_dict_has_breaker(self):
         graph = random_dag(30, 80, seed=25)
