@@ -2,8 +2,7 @@
 
 Every numpy twin that ships has a row here showing it beats its Python
 twin on the condition that dispatches to it (DESIGN.md §4); the halves
-of the acceleration-layer claim, measured on uniform random DAGs and a
-community DAG:
+of the acceleration-layer claim, measured on uniform random DAGs:
 
 * **Batch sweep race** — ``batch_reachable`` over the same CSR snapshot
   with the backend pinned to ``python`` (authoritative big-int kernels)
@@ -14,12 +13,6 @@ community DAG:
 * **Closure-row decode race** — TC's ``_bits_of`` over sampled rows of
   a materialised closure, byte-table walk (``python``) vs
   ``unpacked_indices`` (one ``np.unpackbits``); numpy must be no slower.
-* **Shard transport race** — ``ShardedIndex.build`` with a process pool
-  at k ∈ {1, 2, 4, 8}, shipping shard graphs to workers as
-  shared-memory snapshot handles (accel on) vs pickled subgraphs
-  (accel off).  The handle transport must ship **fewer bytes per
-  worker**; wall-clock is recorded alongside the machine's core count
-  so multi-core hosts can read real scaling off the same artifact.
 
 Run as a benchmark (``pytest benchmarks/bench_accel.py -s``) or
 standalone (``python benchmarks/bench_accel.py [--tiny] [--json PATH]``);
@@ -37,10 +30,9 @@ import time
 from repro import accel
 from repro.bench.jsonout import add_json_argument, emit
 from repro.bench.tables import format_seconds, render_table
-from repro.graphs.generators import community_dag, random_dag
+from repro.graphs.generators import random_dag
 from repro.kernels import batch_reachable, csr_of, descendant_bitsets
 from repro.plain.transitive_closure import _bits_of
-from repro.shard import ShardedIndex
 
 #: (vertices, edges) scales for the batch sweep race.
 SWEEP_SCALES = ((100_000, 400_000), (1_000_000, 2_000_000))
@@ -52,11 +44,6 @@ MIN_SWEEP_SPEEDUP = 3.0
 #: (vertices, edges) of the closure whose rows the decode race samples.
 DECODE_SCALE = (20_000, 70_000)
 DECODE_ROWS = 256
-
-SHARD_COUNTS = (1, 2, 4, 8)
-SHARD_COMMUNITIES = 8
-SHARD_COMMUNITY_SIZE = 400
-SHARD_FAMILY = "PLL"
 
 
 def _timed(thunk):
@@ -125,71 +112,23 @@ def _measure_decode(vertices: int, edges: int, rows: int, seed: int) -> dict:
     }
 
 
-def _measure_shards(
-    shard_counts: tuple[int, ...],
-    communities: int,
-    community_size: int,
-    seed: int,
-) -> list[dict]:
-    """The transport race: shm handles vs pickled subgraphs, per k."""
-    graph = community_dag(
-        communities,
-        community_size,
-        seed=seed,
-        intra_edge_prob=0.02,
-        inter_edge_prob=0.0005,
-    )
-    rows: list[dict] = []
-    for k in shard_counts:
-        row: dict = {"num_shards": k}
-        for leg, backend in (("shm", "auto"), ("pickle", "python")):
-            try:
-                accel.set_backend(backend)
-                index, wall = _timed(
-                    lambda k=k: ShardedIndex.build(
-                        graph,
-                        family=SHARD_FAMILY,
-                        num_shards=k,
-                        executor="process",
-                        workers=k,
-                    )
-                )
-            finally:
-                accel.set_backend("auto")
-            report = index.shard_build_report
-            row[leg] = {
-                "wall_seconds": wall,
-                "transport": report.transport,
-                "backend": report.backend,
-                "bytes_shipped": sum(report.bytes_shipped_per_worker),
-                "bytes_per_worker": list(report.bytes_shipped_per_worker),
-            }
-        rows.append(row)
-    return rows
-
-
 def measure(
     sweep_scales: tuple[tuple[int, int], ...] = SWEEP_SCALES,
     batch_pairs: int = BATCH_PAIRS,
     distinct_sources: int = DISTINCT_SOURCES,
-    shard_counts: tuple[int, ...] = SHARD_COUNTS,
-    communities: int = SHARD_COMMUNITIES,
-    community_size: int = SHARD_COMMUNITY_SIZE,
     seed: int = 0,
 ) -> dict:
-    """All three measurements as one JSON-serialisable dict."""
+    """Both measurements as one JSON-serialisable dict."""
     sweeps = [
         _measure_sweep(vertices, edges, batch_pairs, distinct_sources, seed)
         for vertices, edges in sweep_scales
     ]
     decode = _measure_decode(*DECODE_SCALE, DECODE_ROWS, seed)
-    shards = _measure_shards(shard_counts, communities, community_size, seed)
     return {
         "accel": accel.describe(),
         "cpu_count": os.cpu_count(),
         "sweeps": sweeps,
         "decode": decode,
-        "shards": shards,
     }
 
 
@@ -213,23 +152,8 @@ def _render(results: dict) -> str:
             f"{decode['speedup']:.1f}x",
         )
     )
-    for row in results["shards"]:
-        shm, pickle_leg = row["shm"], row["pickle"]
-        saved = (
-            f"{pickle_leg['bytes_shipped']:,}B -> {shm['bytes_shipped']:,}B"
-            if pickle_leg["bytes_shipped"] or shm["bytes_shipped"]
-            else "inline"
-        )
-        rows.append(
-            (
-                f"shard build k={row['num_shards']}",
-                format_seconds(pickle_leg["wall_seconds"]),
-                format_seconds(shm["wall_seconds"]),
-                saved,
-            )
-        )
     return render_table(
-        ["configuration", "python / pickle", "numpy / shm", "speedup / shipped"],
+        ["configuration", "python", "numpy", "speedup"],
         rows,
         title=(
             f"CLAIM-PERF-ACCEL: backend={results['accel']['backend']}, "
@@ -250,17 +174,6 @@ def _assert_claims(results: dict) -> None:
         f"unpacked_indices at |V|={decode['vertices']:,} is "
         f"{decode['speedup']:.2f}x the byte-table decode: the twin loses"
     )
-    for row in results["shards"]:
-        if row["num_shards"] < 2:
-            continue  # single-shard builds run inline; nothing is shipped
-        shm, pickle_leg = row["shm"], row["pickle"]
-        if shm["transport"] != "shm" or pickle_leg["transport"] != "pickle":
-            continue  # no process pool in this environment
-        assert shm["bytes_shipped"] < pickle_leg["bytes_shipped"], (
-            f"shm transport at k={row['num_shards']} shipped "
-            f"{shm['bytes_shipped']:,} bytes, not below the pickled "
-            f"{pickle_leg['bytes_shipped']:,}"
-        )
 
 
 def test_accel_speedups(benchmark, report):
@@ -292,9 +205,6 @@ def main(argv: list[str] | None = None) -> int:
             sweep_scales=((2_000, 8_000),),
             batch_pairs=200,
             distinct_sources=64,
-            shard_counts=(1, 2),
-            communities=4,
-            community_size=50,
             seed=args.seed,
         )
     else:

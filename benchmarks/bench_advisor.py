@@ -28,10 +28,10 @@ import statistics
 import time
 
 from repro.advisor import advise
-from repro.advisor.cost import build_family
 from repro.advisor.rules import DEFAULT_CANDIDATES
 from repro.bench.jsonout import add_json_argument, emit
 from repro.bench.tables import format_seconds, render_table
+from repro.core.condensed import build_plain
 from repro.graphs.generators import community_dag, gnp_digraph, layered_dag
 from repro.workloads.queries import plain_workload
 
@@ -104,7 +104,7 @@ def measure(scale: int = 4, workload_size: int = WORKLOAD_SIZE, seed: int = 0) -
         for family in DEFAULT_CANDIDATES:
             try:
                 start = time.perf_counter()
-                index = build_family(family, graph)
+                index = build_plain(family, graph)
                 build_s = time.perf_counter() - start
             except Exception as exc:  # noqa: BLE001 — a family may not apply
                 statics[family] = {"error": f"{type(exc).__name__}: {exc}"}

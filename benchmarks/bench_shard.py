@@ -4,7 +4,7 @@ Two halves of the §6 scaling claim, measured on an 8-community DAG whose
 communities are dense relative to the inter-community cut:
 
 * **Build race** — ``ShardedIndex.build`` partitions the graph, builds a
-  PLL index per shard through the parallel executor, and lifts the cut
+  PLL index per shard (the default in-process loop), and lifts the cut
   into a boundary summary index.  Because PLL's build cost is superlinear
   in the shard size, ``k`` shards of ``n/k`` vertices are cheaper than
   one ``n``-vertex build: sharded wall-time must beat the monolithic
@@ -69,15 +69,13 @@ def measure(
         inter_edge_prob=inter_edge_prob,
     )
 
-    # -- build race: monolithic family build vs parallel sharded builds --
+    # -- build race: monolithic family build vs sharded builds --
     monolithic, monolithic_s = _timed(lambda: plain_index(FAMILY).build(graph))
     builds: list[dict] = []
     sharded_by_k: dict[int, ShardedIndex] = {}
     for k in shard_counts:
         index, sharded_s = _timed(
-            lambda k=k: ShardedIndex.build(
-                graph, family=FAMILY, num_shards=k, executor="thread"
-            )
+            lambda k=k: ShardedIndex.build(graph, family=FAMILY, num_shards=k)
         )
         sharded_by_k[k] = index
         shard_report = index.shard_build_report

@@ -7,9 +7,8 @@ those with big-int words — correct, portable, but interpreter-bound.
 This package drops an array-backed layer underneath the same kernel API:
 
 * :mod:`repro.accel.arrays` — :class:`CSRArrays`, numpy ``int64``
-  offset/index arrays frozen from a CSR snapshot, exportable to
-  :mod:`multiprocessing.shared_memory` so process-pool shard builds
-  attach to one read-only snapshot instead of unpickling a graph copy;
+  offset/index arrays frozen from a CSR snapshot, with the cached DAG
+  level schedule the sweeps run over;
 * :mod:`repro.accel.bitset` — the two kernels that never materialise
   big ints and therefore win: the packed ``uint64[n_vertices, n_words]``
   batched pair sweep behind :func:`repro.kernels.batch_reachable`

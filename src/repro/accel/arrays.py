@@ -1,4 +1,4 @@
-"""Numpy CSR arrays and shared-memory graph snapshots.
+"""Numpy CSR arrays with a cached DAG level schedule.
 
 :class:`CSRArrays` freezes a :class:`~repro.kernels.csr.CSRGraph` (or
 anything with the same attribute shape) into contiguous ``int64``
@@ -7,20 +7,10 @@ scatter over — plus a lazily built *level schedule*: topological levels
 with each level's predecessor lists pre-concatenated, so a DAG sweep
 becomes one fancy-indexed gather + one ``reduceat`` per level instead of
 one Python iteration per vertex.
-
-The same arrays travel across process boundaries without pickling:
-:meth:`CSRArrays.to_shared` copies the four arrays into a single
-:class:`multiprocessing.shared_memory.SharedMemory` block and returns a
-tiny picklable :class:`SharedCSRHandle` (name + sizes); workers call
-:meth:`CSRArrays.from_shared` to attach read-only views, reconstruct
-whatever they need, and close.  The parent owns the block's lifetime —
-create, hand out the handle, unlink when every worker is done.
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 try:
@@ -28,20 +18,10 @@ try:
 except ImportError:  # the pure-Python fallback never imports this module
     np = None
 
-from repro.graphs.digraph import DiGraph
-
 if TYPE_CHECKING:
-    from multiprocessing.shared_memory import SharedMemory
-
     from repro.kernels.csr import CSRGraph
 
-__all__ = [
-    "CSRArrays",
-    "SharedCSRHandle",
-    "arrays_of",
-    "digraph_from_arrays",
-    "gather_ranges",
-]
+__all__ = ["CSRArrays", "arrays_of", "gather_ranges"]
 
 
 def gather_ranges(indptr, indices, verts):
@@ -58,21 +38,6 @@ def gather_ranges(indptr, indices, verts):
     offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
     flat = np.arange(total, dtype=np.int64) + np.repeat(starts - offsets, counts)
     return indices[flat]
-
-
-@dataclass(frozen=True)
-class SharedCSRHandle:
-    """A picklable pointer to one shared-memory CSR snapshot.
-
-    Everything a worker needs to attach: the block name plus the two
-    sizes that determine every array offset.  Pickling this is a few
-    dozen bytes regardless of graph size — that is the entire point.
-    """
-
-    name: str
-    num_vertices: int
-    num_edges: int
-    creator_pid: int = 0
 
 
 class CSRArrays:
@@ -117,23 +82,6 @@ class CSRArrays:
             np.asarray(csr.in_indices, dtype=np.int64),
         )
 
-    @classmethod
-    def from_digraph(cls, graph: DiGraph) -> "CSRArrays":
-        """Flatten a :class:`DiGraph` directly (no CSRGraph required)."""
-        out = graph._out
-        inn = graph._in
-        n = len(out)
-        out_counts = np.fromiter((len(x) for x in out), dtype=np.int64, count=n)
-        in_counts = np.fromiter((len(x) for x in inn), dtype=np.int64, count=n)
-        m = int(out_counts.sum())
-        return cls(
-            n,
-            np.concatenate(([0], np.cumsum(out_counts))),
-            np.fromiter((w for x in out for w in x), dtype=np.int64, count=m),
-            np.concatenate(([0], np.cumsum(in_counts))),
-            np.fromiter((u for x in inn for u in x), dtype=np.int64, count=m),
-        )
-
     # -- level schedule ---------------------------------------------------
     def schedule(self, forward: bool):
         """The DAG level schedule for one sweep direction, or None if cyclic.
@@ -167,64 +115,6 @@ class CSRArrays:
             )
             self._bwd_schedule = schedule
         return schedule
-
-    # -- shared memory ----------------------------------------------------
-    def to_shared(self, factory=None) -> tuple["SharedMemory", SharedCSRHandle]:
-        """Copy the four arrays into one fresh shared-memory block.
-
-        Returns ``(shm, handle)``.  The caller owns ``shm`` and must
-        ``close()`` + ``unlink()`` it once every attached worker is
-        done.  ``factory`` overrides the SharedMemory constructor (tests
-        inject failures through it).
-        """
-        if factory is None:
-            from multiprocessing.shared_memory import SharedMemory
-
-            factory = SharedMemory
-        total = 2 * (self.num_vertices + 1) + 2 * self.num_edges
-        shm = factory(create=True, size=max(8 * total, 1))
-        flat = np.ndarray((total,), dtype=np.int64, buffer=shm.buf)
-        cursor = 0
-        for part in (
-            self.out_indptr,
-            self.out_indices,
-            self.in_indptr,
-            self.in_indices,
-        ):
-            flat[cursor : cursor + len(part)] = part
-            cursor += len(part)
-        handle = SharedCSRHandle(
-            shm.name, self.num_vertices, self.num_edges, os.getpid()
-        )
-        return shm, handle
-
-    @classmethod
-    def from_shared(
-        cls, handle: SharedCSRHandle
-    ) -> tuple["CSRArrays", "SharedMemory"]:
-        """Attach to a shared snapshot; arrays are read-only views.
-
-        Returns ``(arrays, shm)``; the caller must keep ``shm`` alive
-        while the views are in use and ``close()`` it afterwards (never
-        ``unlink()`` — the creating process owns the block).
-        """
-        from multiprocessing.shared_memory import SharedMemory
-
-        shm = SharedMemory(name=handle.name)
-        # Attaching registers the name with the resource tracker again on
-        # 3.11 (3.13 grew ``track=False`` for this); the registrations
-        # land in a *shared* tracker daemon for multiprocessing workers,
-        # where re-adding to the cache set is a no-op and the creator's
-        # eventual ``unlink()`` clears the single entry — so no
-        # unregister dance is needed, and attempting one here would make
-        # the creator's unlink warn about the missing cache entry.
-        n, m = handle.num_vertices, handle.num_edges
-        total = 2 * (n + 1) + 2 * m
-        flat = np.ndarray((total,), dtype=np.int64, buffer=shm.buf)
-        flat.flags.writeable = False
-        bounds = np.cumsum([0, n + 1, m, n + 1, m])
-        parts = [flat[bounds[i] : bounds[i + 1]] for i in range(4)]
-        return cls(n, *parts), shm
 
     def __repr__(self) -> str:
         return f"CSRArrays(|V|={self.num_vertices}, |E|={self.num_edges})"
@@ -280,23 +170,3 @@ def arrays_of(csr: "CSRGraph") -> CSRArrays:
     arrays = CSRArrays.from_csr(csr)
     csr._arrays_cache = arrays
     return arrays
-
-
-def digraph_from_arrays(arrays: CSRArrays) -> DiGraph:
-    """Rebuild a mutable :class:`DiGraph` from CSR arrays, bulk-loaded.
-
-    Populates the adjacency storage directly instead of ``add_edge``
-    per edge — the reconstruction cost a shared-memory worker pays is
-    one ``tolist()`` per direction, not |E| bounds-checked inserts.
-    """
-    n = arrays.num_vertices
-    graph = DiGraph(n)
-    out_flat = arrays.out_indices.tolist()
-    out_ptr = arrays.out_indptr.tolist()
-    in_flat = arrays.in_indices.tolist()
-    in_ptr = arrays.in_indptr.tolist()
-    graph._out = [out_flat[out_ptr[v] : out_ptr[v + 1]] for v in range(n)]
-    graph._in = [in_flat[in_ptr[v] : in_ptr[v + 1]] for v in range(n)]
-    graph._out_sets = [set(neighbors) for neighbors in graph._out]
-    graph._num_edges = arrays.num_edges
-    return graph

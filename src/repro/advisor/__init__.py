@@ -17,7 +17,6 @@ from repro.advisor.cost import (
     PROBE_MAX_VERTICES,
     CostEstimate,
     ProbeResult,
-    build_family,
     estimate_costs,
     micro_probe,
     probe_graph,
@@ -38,7 +37,6 @@ __all__ = [
     "PROBE_MAX_VERTICES",
     "CostEstimate",
     "ProbeResult",
-    "build_family",
     "estimate_costs",
     "micro_probe",
     "probe_graph",

@@ -25,7 +25,6 @@ from collections.abc import Mapping, Sequence
 from repro.advisor.cost import (
     DEFAULT_AMORTIZE_QUERIES,
     CostEstimate,
-    build_family,
     estimate_costs,
 )
 from repro.advisor.features import (
@@ -37,6 +36,7 @@ from repro.advisor.features import (
 from repro.advisor.rules import NO_FALSE_NEGATIVE, priors
 from repro.bench.jsonout import provenance
 from repro.core.base import ReachabilityIndex
+from repro.core.condensed import build_plain
 from repro.core.registry import plain_index
 from repro.errors import ReproError
 from repro.graphs.digraph import DiGraph
@@ -61,9 +61,8 @@ class Recommendation:
     probed: bool
 
     def build(self, graph: DiGraph) -> ReachabilityIndex:
-        """Instantiate this recommendation on ``graph`` (condensing
-        DAG-only families on cyclic input, like the CLI and service)."""
-        return build_family(self.family, graph, dict(self.index_params))
+        """Instantiate this recommendation on ``graph``."""
+        return build_plain(self.family, graph, **self.index_params)
 
     def as_dict(self) -> dict[str, object]:
         return {

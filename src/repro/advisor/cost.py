@@ -30,17 +30,13 @@ from dataclasses import dataclass
 from repro import accel
 from repro.advisor.features import GraphFeatures
 from repro.advisor.rules import Prior
-from repro.core.base import ReachabilityIndex
-from repro.core.condensed import CondensedIndex
-from repro.core.registry import plain_index
+from repro.core.condensed import build_plain
 from repro.graphs.digraph import DiGraph
-from repro.graphs.topo import is_dag
 
 __all__ = [
     "PROBE_MAX_VERTICES",
     "CostEstimate",
     "ProbeResult",
-    "build_family",
     "estimate_costs",
     "micro_probe",
     "probe_graph",
@@ -56,22 +52,6 @@ PROBE_MAX_VERTICES = 400
 # to re-advise, so one second of build time is worth one microsecond
 # of per-query latency.
 DEFAULT_AMORTIZE_QUERIES = 1_000_000
-
-
-def build_family(
-    name: str, graph: DiGraph, params: dict[str, object] | None = None
-) -> ReachabilityIndex:
-    """Build a registered family on ``graph``, condensing when required.
-
-    DAG-only families get the :class:`CondensedIndex` wrapper on cyclic
-    input — the same lifting the CLI and the service apply — so every
-    recommendation is buildable on the graph it was made for.
-    """
-    cls = plain_index(name)
-    params = dict(params or {})
-    if cls.metadata.input_kind == "DAG" and not is_dag(graph):
-        return CondensedIndex.build(graph, inner=cls, **params)
-    return cls.build(graph, **params)
 
 
 @dataclass(frozen=True)
@@ -182,7 +162,7 @@ def micro_probe(
     """
     try:
         start = time.perf_counter()
-        index = build_family(prior.family, graph, dict(prior.index_params))
+        index = build_plain(prior.family, graph, **prior.index_params)
         build_seconds = time.perf_counter() - start
         for s, t in pairs:  # warm-up pass: JIT-less, but caches/branches settle
             index.query(s, t)

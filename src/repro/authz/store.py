@@ -25,7 +25,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 from repro.core.base import ReachabilityIndex
-from repro.core.condensed import CondensedIndex
+from repro.core.condensed import build_plain
 from repro.core.registry import plain_index
 from repro.errors import (
     InvalidZookieError,
@@ -146,10 +146,10 @@ class _NamespaceState:
 class AuthzStore:
     """Per-namespace tuple sets compiled into reachability snapshots.
 
-    ``family`` names any registered plain index family; DAG-only
-    families are lifted with
-    :class:`~repro.core.condensed.CondensedIndex`, since relation graphs
-    cycle freely (mutual group membership).
+    ``family`` names any registered plain index family;
+    :func:`~repro.core.condensed.build_plain` lifts DAG-only families
+    whenever a namespace's relation graph is cyclic (mutual group
+    membership).
     """
 
     def __init__(self, family: str = "TC") -> None:
@@ -280,17 +280,13 @@ class AuthzStore:
     def _compile(self, namespace: str, state: _NamespaceState) -> AuthzSnapshot:
         graph, entity_ids, entities = compile_tuples(sorted(state.tuples))
         plain = graph.to_plain()
-        if self._family_cls.metadata.input_kind == "DAG":
-            index = CondensedIndex.build(plain, inner=self._family_cls)
-        else:
-            index = self._family_cls.build(plain)
         return AuthzSnapshot(
             namespace=namespace,
             epoch=state.epoch,
             tuples=frozenset(state.tuples),
             graph=graph,
             plain=plain,
-            index=index,
+            index=build_plain(self._family_cls, plain),
             entity_ids=entity_ids,
             entities=entities,
         )
@@ -408,19 +404,7 @@ class AuthzStore:
             raise StaleZookieError(namespace, at_least.epoch, epoch)
         if snapshot is None:
             # empty namespace at epoch 0: every entity is unknown
-            graph, entity_ids, entities = compile_tuples(())
-            snapshot = AuthzSnapshot(
-                namespace=namespace,
-                epoch=0,
-                tuples=frozenset(),
-                graph=graph,
-                plain=graph.to_plain(),
-                index=self._family_cls.build(graph.to_plain())
-                if self._family_cls.metadata.input_kind != "DAG"
-                else CondensedIndex.build(graph.to_plain(), inner=self._family_cls),
-                entity_ids=entity_ids,
-                entities=entities,
-            )
+            snapshot = self._compile(namespace, _NamespaceState())
         return snapshot
 
     @staticmethod

@@ -12,9 +12,8 @@ import time
 from dataclasses import dataclass
 
 from repro.core.base import ReachabilityIndex, TriState
-from repro.core.condensed import CondensedIndex
+from repro.core.condensed import build_plain
 from repro.graphs.digraph import DiGraph
-from repro.graphs.topo import is_dag
 from repro.obs.build import BuildReport
 from repro.workloads.queries import PlainQuery
 
@@ -58,10 +57,7 @@ def build_index(
 ) -> BuildResult:
     """Build an index, wrapping DAG-only techniques on cyclic input."""
     start = time.perf_counter()
-    if cls.metadata.input_kind == "DAG" and not is_dag(graph):
-        index: ReachabilityIndex = CondensedIndex.build(graph, inner=cls, **params)
-    else:
-        index = cls.build(graph, **params)
+    index = build_plain(cls, graph, **params)
     elapsed = time.perf_counter() - start
     return BuildResult(
         name=cls.metadata.name,

@@ -29,7 +29,8 @@ Commands
     ``--trace`` enables the span tracer behind ``GET /debug/trace``;
     ``--index-param KEY=VALUE`` (repeatable) forwards build parameters
     to the index family (e.g. ``--index Sharded --index-param
-    num_shards=4``); ``--slo 'reach.p99 < 5ms'`` (repeatable) tracks
+    num_shards=4``; a key the family does not declare is rejected,
+    exit 2); ``--slo 'reach.p99 < 5ms'`` (repeatable) tracks
     burn-rate objectives that pre-emptively trip the breaker, and
     ``--audit-rate 0.001`` shadow-audits served answers against the
     BFS oracle; ``--authz`` (or ``--authz-tuples FILE``) attaches a
@@ -79,7 +80,7 @@ import time
 from repro import accel
 
 from repro.bench.tables import format_seconds, render_table
-from repro.core.condensed import CondensedIndex
+from repro.core.condensed import CondensedIndex, build_plain
 from repro.core.registry import (
     all_labeled_indexes,
     all_plain_indexes,
@@ -127,12 +128,8 @@ def _cmd_list(_args: argparse.Namespace) -> int:
 
 def _build_plain(path: str, name: str):
     graph, ids = read_edge_list(path)
-    cls = plain_index(name)
     start = time.perf_counter()
-    if cls.metadata.input_kind == "DAG" and not is_dag(graph):
-        index = CondensedIndex.build(graph, inner=cls)
-    else:
-        index = cls.build(graph)
+    index = build_plain(name, graph)
     elapsed = time.perf_counter() - start
     return graph, ids, index, elapsed
 
@@ -461,8 +458,6 @@ def _parse_index_params(items: list[str] | None) -> dict[str, object]:
 
 def _build_sharded(args: argparse.Namespace):
     """Build a ShardedIndex over an edge list (condensing cyclic input)."""
-    from repro.shard import ShardedIndex
-
     graph, ids = read_edge_list(args.edgelist)
     params: dict[str, object] = {
         "family": args.family,
@@ -473,10 +468,7 @@ def _build_sharded(args: argparse.Namespace):
     if args.workers is not None:
         params["workers"] = args.workers
     start = time.perf_counter()
-    if is_dag(graph):
-        index = ShardedIndex.build(graph, **params)
-    else:
-        index = CondensedIndex.build(graph, inner=ShardedIndex, **params)
+    index = build_plain("Sharded", graph, **params)
     elapsed = time.perf_counter() - start
     return graph, ids, index, elapsed
 
@@ -700,8 +692,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             serve_index = recovered.index
             serve_params = recovered.index_params or {}
 
-    if args.labeled:
-        labeled = None if args.labeled_index == "none" else args.labeled_index
+    from repro.errors import IndexBuildError
+
+    labeled = None if args.labeled_index == "none" else args.labeled_index
+    try:
         service = ReachabilityService(
             graph,
             index=serve_index,
@@ -712,16 +706,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             rebuild=args.rebuild,
             patch_audit_pairs=args.patch_audit_pairs,
         )
-    else:
-        service = ReachabilityService(
-            graph,
-            index=serve_index,
-            index_params=serve_params,
-            cache_capacity=args.cache_capacity or None,
-            coalesce=not args.no_coalesce,
-            rebuild=args.rebuild,
-            patch_audit_pairs=args.patch_audit_pairs,
-        )
+    except IndexBuildError as exc:  # e.g. a misspelt --index-param key
+        print(str(exc), file=sys.stderr)
+        return 2
     if recovered is not None:
         service.restore_epoch(recovered.epoch)
     if wal is not None:
@@ -902,11 +889,12 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     """Run a seeded fault schedule against the stack; report typed outcomes.
 
     Exercises three surfaces under the installed :class:`ChaosPolicy`:
-    a sharded build (thread executor, so ``shard.build_worker`` faults
-    fire in-process), a persistence round-trip (``persistence.read``),
-    and a batch of service queries (``kernels.sweep``, deadlines).  Every
-    outcome must be a typed result — TRUE/FALSE/UNKNOWN or a named
-    ``repro`` error; anything else is a resilience bug and exits 1.
+    a sharded build (the in-process loop, so ``shard.build_worker``
+    faults fire where the policy is installed), a persistence round-trip
+    (``persistence.read``), and a batch of service queries
+    (``kernels.sweep``, deadlines).  Every outcome must be a typed
+    result — TRUE/FALSE/UNKNOWN or a named ``repro`` error; anything
+    else is a resilience bug and exits 1.
     """
     import collections
     import os
@@ -933,20 +921,15 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         outcomes[kind] += 1
 
     with chaos(policy):
-        # 1. sharded build under fault injection (threads: chaos visible)
+        # 1. sharded build under fault injection
         try:
-            from repro.shard import ShardedIndex
-
-            params: dict[str, object] = {
-                "family": args.index,
-                "num_shards": args.shards,
-                "executor": "thread",
-                "retry_seed": args.seed,
-            }
-            if is_dag(graph):
-                ShardedIndex.build(graph, **params)
-            else:
-                CondensedIndex.build(graph, inner=ShardedIndex, **params)
+            build_plain(
+                "Sharded",
+                graph,
+                family=args.index,
+                num_shards=args.shards,
+                retry_seed=args.seed,
+            )
             note("build:ok")
         except ReproError as exc:
             note(f"build:{type(exc).__name__}")
@@ -1187,9 +1170,9 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--family", default="PLL", help="plain family per shard")
         p.add_argument(
             "--executor",
-            choices=("thread", "process", "serial"),
-            default="thread",
-            help="how shard builds run in parallel",
+            choices=("serial", "process"),
+            default="serial",
+            help="shard builds in a loop, or in a process pool (large graphs)",
         )
         p.add_argument(
             "--workers", type=int, default=None, help="parallel build workers"

@@ -9,7 +9,7 @@ from repro.core.base import (
     TriState,
     guided_query,
 )
-from repro.core.condensed import CondensedIndex
+from repro.core.condensed import CondensedIndex, build_plain
 from repro.core.registry import (
     all_labeled_indexes,
     all_plain_indexes,
@@ -28,6 +28,7 @@ __all__ = [
     "TriState",
     "guided_query",
     "CondensedIndex",
+    "build_plain",
     "all_labeled_indexes",
     "all_plain_indexes",
     "labeled_index",

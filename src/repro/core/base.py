@@ -24,13 +24,14 @@ from __future__ import annotations
 
 import enum
 import functools
+import inspect
 from abc import ABC, abstractmethod
 from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import ClassVar
 
-from repro.errors import QueryError, UnsupportedOperationError
+from repro.errors import IndexBuildError, QueryError, UnsupportedOperationError
 from repro.graphs.digraph import DiGraph
 from repro.graphs.labeled import LabeledDiGraph
 from repro.kernels import ancestors_set, batch_reachable, csr_of, descendants_set
@@ -250,18 +251,33 @@ class SizeReport:
 
 
 def _instrumented_build(raw: classmethod) -> classmethod:
-    """Wrap a subclass ``build`` with per-phase observation.
+    """Wrap a subclass ``build`` with parameter checking and observation.
 
     Applied automatically by ``__init_subclass__`` wherever an index
     class defines its own ``build``, so every family's construction is
     observed — total time, the :func:`~repro.obs.build.build_phase`
     stages it marks, and final size — without per-family boilerplate.
     The report lands on the instance as ``build_report``.
+
+    The family's signature is its parameter declaration: a keyword it
+    does not name is an :class:`~repro.errors.IndexBuildError`, not a
+    silently dropped setting.  The accepted names are read off the
+    signature once, here; wrappers that forward ``**params`` to an inner
+    family accept anything and let the inner build judge.
     """
     inner = raw.__func__
+    declared = list(inspect.signature(inner).parameters.values())[2:]
+    forwards = any(p.kind is p.VAR_KEYWORD for p in declared)
+    accepted = frozenset(p.name for p in declared if p.kind is not p.VAR_KEYWORD)
 
     @functools.wraps(inner)
     def build(cls, graph, *args, **params):
+        if params and not forwards and not accepted.issuperset(params):
+            unknown = ", ".join(sorted(set(params) - accepted))
+            raise IndexBuildError(
+                f"{cls.metadata.name} has no build parameter {unknown}; "
+                f"accepted: {', '.join(sorted(accepted)) or '(none)'}"
+            )
         with observe_build(cls.metadata.name) as observation:
             index = inner(cls, graph, *args, **params)
         observation.attach(index, entries=index.size_in_entries())
@@ -417,7 +433,7 @@ class _IndexBase(ABC):
     metadata: ClassVar[IndexMetadata]
 
     def __init_subclass__(cls, **kwargs: object) -> None:
-        """Instrument every concrete ``build`` with per-phase observation."""
+        """Check and observe every concrete ``build`` (see the wrapper)."""
         super().__init_subclass__(**kwargs)
         raw = cls.__dict__.get("build")
         if isinstance(raw, classmethod) and not getattr(
@@ -512,7 +528,7 @@ class ReachabilityIndex(_IndexBase):
         """Construct the index over ``graph``.
 
         DAG-only indexes raise :class:`repro.errors.NotADAGError` on cyclic
-        input; wrap them with :func:`repro.core.condensed.condense_for` for
+        input; :func:`repro.core.condensed.build_plain` lifts them to
         general graphs.
         """
 

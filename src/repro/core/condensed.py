@@ -15,11 +15,13 @@ from collections.abc import Sequence
 from typing import ClassVar
 
 from repro.core.base import IndexMetadata, ReachabilityIndex, TriState
+from repro.core.registry import plain_index
 from repro.graphs.digraph import DiGraph
 from repro.graphs.scc import Condensation, condense
+from repro.graphs.topo import is_dag
 from repro.obs.build import build_phase
 
-__all__ = ["CondensedIndex"]
+__all__ = ["CondensedIndex", "build_plain"]
 
 
 class CondensedIndex(ReachabilityIndex):
@@ -166,3 +168,20 @@ class CondensedIndex(ReachabilityIndex):
     def size_in_entries(self) -> int:
         """Inner index entries plus one SCC-map entry per vertex."""
         return self._inner.size_in_entries() + self._graph.num_vertices
+
+
+def build_plain(
+    family: str | type[ReachabilityIndex], graph: DiGraph, /, **params: object
+) -> ReachabilityIndex:
+    """Build ``family`` (a registered name or an index class) over ``graph``.
+
+    The one place the §3.1 lift is applied: a DAG-only family over a
+    cyclic graph is built inside a :class:`CondensedIndex`; every other
+    combination is the bare family.  ``params`` are the family's own
+    build parameters either way (``family`` and ``graph`` are
+    positional-only: ``Sharded`` declares a ``family`` parameter itself).
+    """
+    cls = plain_index(family) if isinstance(family, str) else family
+    if cls.metadata.input_kind == "DAG" and not is_dag(graph):
+        return CondensedIndex.build(graph, inner=cls, **params)
+    return cls.build(graph, **params)

@@ -12,12 +12,11 @@ traversal, the only strategy that covers full RPQs today).
 from __future__ import annotations
 
 from repro.core.base import LabelConstrainedIndex, ReachabilityIndex
-from repro.core.condensed import CondensedIndex
-from repro.core.registry import labeled_index, plain_index
+from repro.core.condensed import build_plain
+from repro.core.registry import labeled_index
 from repro.errors import UnsupportedConstraintError
 from repro.graphs.digraph import DiGraph
 from repro.graphs.labeled import LabeledDiGraph
-from repro.graphs.topo import is_dag
 from repro.traversal.regex import (
     RegexNode,
     alternation_label_set,
@@ -44,12 +43,7 @@ class PlainReachabilityOracle:
     """
 
     def __init__(self, graph: DiGraph, index_name: str = "PLL", **params: object) -> None:
-        cls = plain_index(index_name)
-        self._index: ReachabilityIndex
-        if cls.metadata.input_kind == "DAG" and not is_dag(graph):
-            self._index = CondensedIndex.build(graph, inner=cls, **params)
-        else:
-            self._index = cls.build(graph, **params)
+        self._index: ReachabilityIndex = build_plain(index_name, graph, **params)
 
     @property
     def index(self) -> ReachabilityIndex:

@@ -25,36 +25,10 @@ from dataclasses import dataclass, field
 from repro.core.registry import labeled_index
 from repro.gdbms.store import GraphStore
 from repro.obs.metrics import MetricsRegistry, global_registry
-from repro.traversal.regex import (
-    RegexNode,
-    alternation_label_set,
-    concatenation_sequence,
-    parse_constraint,
-)
+from repro.traversal.regex import RegexNode, classify_constraint
 from repro.traversal.rpq import rpq_reachable
 
-__all__ = ["IndexPlanner", "PlannerStatistics", "classify_constraint"]
-
-
-def classify_constraint(
-    constraint: str | RegexNode, max_period: int | None = None
-) -> tuple[str, RegexNode]:
-    """Route a path constraint to the index family that can serve it.
-
-    Returns ``(route, parsed)`` where ``route`` is ``"alternation"``
-    (the §4.1 indexes apply), ``"concatenation"`` (the RLC index
-    applies, subject to ``max_period`` when given), or ``"traversal"``
-    (no Table 2 index covers the shape).  This is the §5 routing
-    decision, shared between the in-process planner and the serving
-    tier so both dispatch identically.
-    """
-    node = parse_constraint(constraint)
-    if alternation_label_set(node) is not None:
-        return "alternation", node
-    sequence = concatenation_sequence(node)
-    if sequence is not None and (max_period is None or len(sequence) <= max_period):
-        return "concatenation", node
-    return "traversal", node
+__all__ = ["IndexPlanner", "PlannerStatistics"]
 
 
 @dataclass

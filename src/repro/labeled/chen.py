@@ -172,7 +172,6 @@ class ChenIndex(AlternationIndex):
         cls,
         graph: LabeledDiGraph,
         terminal_threshold: int = TERMINAL_THRESHOLD,
-        **params: object,
     ) -> "ChenIndex":
         num_labels = max(graph.num_labels, 1)
         adjacency: _MaskAdjacency = [

@@ -54,7 +54,7 @@ class DLCRIndex(P2HIndex):
     )
 
     @classmethod
-    def build(cls, graph: LabeledDiGraph, **params: object) -> "DLCRIndex":
+    def build(cls, graph: LabeledDiGraph) -> "DLCRIndex":
         with build_phase("labeled-pruned-labeling"):
             labels, rank = build_labeled_labels(graph, labeled_degree_order(graph))
         return cls(graph, labels, rank)

@@ -95,7 +95,7 @@ class GTCIndex(AlternationIndex):
         self._cycles = cycles
 
     @classmethod
-    def build(cls, graph: LabeledDiGraph, **params: object) -> "GTCIndex":
+    def build(cls, graph: LabeledDiGraph) -> "GTCIndex":
         with build_phase("single-source-sweeps", vertices=graph.num_vertices):
             rows: list[dict[int, list[int]]] = []
             cycles: list[list[int]] = []

@@ -112,7 +112,7 @@ class JinIndex(AlternationIndex):
         self._cycles = partial_cycles
 
     @classmethod
-    def build(cls, graph: LabeledDiGraph, **params: object) -> "JinIndex":
+    def build(cls, graph: LabeledDiGraph) -> "JinIndex":
         with build_phase("labeled-spanning-forest"):
             parent, parent_label, intervals = labeled_spanning_forest(graph)
         num_labels = max(graph.num_labels, 1)

@@ -71,7 +71,6 @@ class LandmarkIndex(AlternationIndex):
         graph: LabeledDiGraph,
         k: int = DEFAULT_K,
         shortcut_budget: int = DEFAULT_SHORTCUT_BUDGET,
-        **params: object,
     ) -> "LandmarkIndex":
         with build_phase("landmark-selection", landmarks=min(k, graph.num_vertices)):
             by_degree = sorted(

@@ -118,7 +118,6 @@ class LCRFilterIndex(AlternationIndex):
         num_hashes: int = DEFAULT_HASHES,
         max_exclude: int = DEFAULT_MAX_EXCLUDE,
         seed: int = 0,
-        **params: object,
     ) -> "LCRFilterIndex":
         from itertools import combinations
 

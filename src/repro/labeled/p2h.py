@@ -234,7 +234,7 @@ class P2HIndex(AlternationIndex):
         self._rank = rank
 
     @classmethod
-    def build(cls, graph: LabeledDiGraph, **params: object) -> "P2HIndex":
+    def build(cls, graph: LabeledDiGraph) -> "P2HIndex":
         with build_phase("labeled-pruned-labeling") as phase:
             labels, rank = build_labeled_labels(graph, labeled_degree_order(graph))
             phase.annotate(entries=labels.size_in_entries())

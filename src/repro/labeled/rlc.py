@@ -82,7 +82,6 @@ class RLCIndex(LabelConstrainedIndex):
         cls,
         graph: LabeledDiGraph,
         max_period: int = DEFAULT_MAX_PERIOD,
-        **params: object,
     ) -> "RLCIndex":
         if max_period < 1:
             raise ValueError(f"max_period must be >= 1, got {max_period}")

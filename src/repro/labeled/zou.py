@@ -134,7 +134,7 @@ class ZouIndex(AlternationIndex):
         self._cycles = cycles
 
     @classmethod
-    def build(cls, graph: LabeledDiGraph, **params: object) -> "ZouIndex":
+    def build(cls, graph: LabeledDiGraph) -> "ZouIndex":
         with build_phase("scc-condense") as phase:
             plain = graph.to_plain()
             condensation = condense(plain)

@@ -58,7 +58,6 @@ class BFLIndex(ReachabilityIndex):
         bits: int = DEFAULT_BITS,
         num_hashes: int = DEFAULT_HASHES,
         seed: int = 0,
-        **params: object,
     ) -> "BFLIndex":
         if bits < 1 or num_hashes < 1:
             raise ValueError("bits and num_hashes must be >= 1")

@@ -72,7 +72,6 @@ class DaggerIndex(ReachabilityIndex):
         graph: DiGraph,
         seed: int = 0,
         resweep_after: int = DEFAULT_RESWEEP_AFTER,
-        **params: object,
     ) -> "DaggerIndex":
         n = graph.num_vertices
         with build_phase("random-values", vertices=n):

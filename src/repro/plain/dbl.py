@@ -73,7 +73,6 @@ class DBLIndex(ReachabilityIndex):
         num_hubs: int = DEFAULT_NUM_HUBS,
         bits: int = DEFAULT_BITS,
         seed: int = 0,
-        **params: object,
     ) -> "DBLIndex":
         n = graph.num_vertices
         rng = random.Random(seed)

@@ -62,7 +62,7 @@ class DualLabelingIndex(ReachabilityIndex):
         self._in_links = in_links  # per vertex: links whose head tree-reaches it
 
     @classmethod
-    def build(cls, graph: DiGraph, **params: object) -> "DualLabelingIndex":
+    def build(cls, graph: DiGraph) -> "DualLabelingIndex":
         with build_phase("spanning-forest-intervals"):
             order = topological_order(graph)
             parent = spanning_forest(graph, order)

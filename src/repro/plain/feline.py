@@ -49,7 +49,7 @@ class FelineIndex(ReachabilityIndex):
         self._level = level
 
     @classmethod
-    def build(cls, graph: DiGraph, **params: object) -> "FelineIndex":
+    def build(cls, graph: DiGraph) -> "FelineIndex":
         n = graph.num_vertices
         with build_phase("x-order", vertices=n):
             x = [0] * n

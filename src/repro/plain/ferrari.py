@@ -99,7 +99,7 @@ class FerrariIndex(ReachabilityIndex):
         self._intervals = interval_lists
 
     @classmethod
-    def build(cls, graph: DiGraph, k: int = DEFAULT_K, **params: object) -> "FerrariIndex":
+    def build(cls, graph: DiGraph, k: int = DEFAULT_K) -> "FerrariIndex":
         """Exact tree-cover inheritance with the per-vertex budget applied."""
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")

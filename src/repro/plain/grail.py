@@ -119,7 +119,6 @@ class GrailIndex(ReachabilityIndex):
         k: int = DEFAULT_K,
         seed: int = 0,
         exceptions: bool = False,
-        **params: object,
     ) -> "GrailIndex":
         """Run ``k`` random DFS labelings (deterministic given ``seed``)."""
         if k < 1:

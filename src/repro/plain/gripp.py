@@ -86,7 +86,7 @@ class GrippIndex(ReachabilityIndex):
         self._post = post
 
     @classmethod
-    def build(cls, graph: DiGraph, **params: object) -> "GrippIndex":
+    def build(cls, graph: DiGraph) -> "GrippIndex":
         with build_phase("dfs-instance-table", vertices=graph.num_vertices):
             pre, post = _dfs_tree_intervals(graph)
         return cls(graph, pre, post)

@@ -72,7 +72,7 @@ class HLIndex(TwoHopProbeIndex):
     )
 
     @classmethod
-    def build(cls, graph: DiGraph, **params: object) -> "HLIndex":
+    def build(cls, graph: DiGraph) -> "HLIndex":
         topological_order(graph)  # enforce the DAG input contract
         with build_phase("hierarchy-peel"):
             order = _hierarchy_order(graph)

@@ -146,7 +146,7 @@ class TreeCoverIndex(ReachabilityIndex):
         self._intervals = interval_lists  # merged inherited lists per vertex
 
     @classmethod
-    def build(cls, graph: DiGraph, **params: object) -> "TreeCoverIndex":
+    def build(cls, graph: DiGraph) -> "TreeCoverIndex":
         """Label a spanning forest, then inherit along reverse topo order."""
         with build_phase("spanning-forest-intervals"):
             order = topological_order(graph)

@@ -95,7 +95,7 @@ class IPIndex(ReachabilityIndex):
         self._in = in_sketch
 
     @classmethod
-    def build(cls, graph: DiGraph, k: int = DEFAULT_K, seed: int = 0, **params: object) -> "IPIndex":
+    def build(cls, graph: DiGraph, k: int = DEFAULT_K, seed: int = 0) -> "IPIndex":
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         n = graph.num_vertices

@@ -66,7 +66,7 @@ class OReachIndex(ReachabilityIndex):
         self._level = level
 
     @classmethod
-    def build(cls, graph: DiGraph, k: int = DEFAULT_K, **params: object) -> "OReachIndex":
+    def build(cls, graph: DiGraph, k: int = DEFAULT_K) -> "OReachIndex":
         n = graph.num_vertices
         # supporting vertices: high-degree spread, the paper's main heuristic
         with build_phase("support-selection", supports=min(k, n)):

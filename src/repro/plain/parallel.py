@@ -19,17 +19,15 @@ construction with commit-time validation:
 
 The result is a sound and complete labeling whose size approaches the
 sequential one as the batch size shrinks (batch size 1 *is* sequential
-PLL).  ``workers="thread"`` demonstrates the concurrency structure
-(CPython's GIL caps the speedup; the algorithm itself is
-embarrassingly parallel within a batch), ``workers="serial"`` runs the
-same two-phase algorithm without an executor.
+PLL).  Phase 1 runs as a plain loop here: the searches are pure Python,
+so under CPython's GIL a thread pool only added overhead (raced in
+docs/PERFORMANCE.md) — the algorithm is what this module demonstrates.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
-from typing import ClassVar, Literal
+from typing import ClassVar
 
 from repro.core.base import IndexMetadata
 from repro.graphs.digraph import DiGraph
@@ -84,41 +82,23 @@ def batched_pruned_labels(
     graph: DiGraph,
     order: list[int],
     batch_size: int = 16,
-    workers: Literal["serial", "thread"] = "serial",
-    max_workers: int | None = None,
 ) -> TwoHopLabels:
     """Build complete 2-hop labels with the batch-synchronous algorithm."""
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     labels = TwoHopLabels(graph.num_vertices)
-    executor = (
-        ThreadPoolExecutor(max_workers=max_workers) if workers == "thread" else None
-    )
-    try:
-        for start in range(0, len(order), batch_size):
-            batch = order[start : start + batch_size]
-            if executor is None:
-                results = [
-                    _collect_candidates(graph, labels, hop) for hop in batch
-                ]
-            else:
-                results = list(
-                    executor.map(
-                        lambda hop: _collect_candidates(graph, labels, hop), batch
-                    )
-                )
-            # phase 2: sequential commit in rank order with re-validation
-            labels.bump_version()
-            for (forward, backward) in results:
-                for vertex, hop in forward:
-                    if not labels.covered(hop, vertex):
-                        labels.l_in[vertex].add(hop)
-                for vertex, hop in backward:
-                    if not labels.covered(vertex, hop):
-                        labels.l_out[vertex].add(hop)
-    finally:
-        if executor is not None:
-            executor.shutdown()
+    for start in range(0, len(order), batch_size):
+        batch = order[start : start + batch_size]
+        results = [_collect_candidates(graph, labels, hop) for hop in batch]
+        # phase 2: sequential commit in rank order with re-validation
+        labels.bump_version()
+        for (forward, backward) in results:
+            for vertex, hop in forward:
+                if not labels.covered(hop, vertex):
+                    labels.l_in[vertex].add(hop)
+            for vertex, hop in backward:
+                if not labels.covered(vertex, hop):
+                    labels.l_out[vertex].add(hop)
     return labels
 
 
@@ -144,16 +124,10 @@ class BatchedPLLIndex(TwoHopProbeIndex):
         self._batch_size = batch_size
 
     @classmethod
-    def build(
-        cls,
-        graph: DiGraph,
-        batch_size: int = 16,
-        workers: Literal["serial", "thread"] = "serial",
-        **params: object,
-    ) -> "BatchedPLLIndex":
-        with build_phase("batched-pruned-labeling", batch_size=batch_size, workers=workers):
+    def build(cls, graph: DiGraph, batch_size: int = 16) -> "BatchedPLLIndex":
+        with build_phase("batched-pruned-labeling", batch_size=batch_size):
             labels = batched_pruned_labels(
-                graph, degree_order(graph), batch_size=batch_size, workers=workers
+                graph, degree_order(graph), batch_size=batch_size
             )
         return cls(graph, labels, batch_size)
 

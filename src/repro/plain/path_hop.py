@@ -54,7 +54,7 @@ class PathHopIndex(ReachabilityIndex):
         self._l_out = l_out
 
     @classmethod
-    def build(cls, graph: DiGraph, **params: object) -> "PathHopIndex":
+    def build(cls, graph: DiGraph) -> "PathHopIndex":
         with build_phase("spanning-tree-intervals"):
             order_topo = topological_order(graph)
             parent = spanning_forest(graph, order_topo)

@@ -23,7 +23,7 @@ from typing import ClassVar
 
 from repro.core.base import IndexMetadata, ReachabilityIndex, TriState
 from repro.core.registry import register_plain
-from repro.errors import NotADAGError
+from repro.errors import NotADAGError, VertexError
 from repro.graphs.digraph import DiGraph
 from repro.graphs.topo import topological_order
 from repro.obs.build import build_phase
@@ -57,7 +57,7 @@ class PathTreeIndex(ReachabilityIndex):
         self._reach = reach
 
     @classmethod
-    def build(cls, graph: DiGraph, **params: object) -> "PathTreeIndex":
+    def build(cls, graph: DiGraph) -> "PathTreeIndex":
         with build_phase("chain-decomposition") as phase:
             decomposition = greedy_chain_decomposition(graph)
             phase.annotate(chains=decomposition.num_chains)
@@ -99,6 +99,9 @@ class PathTreeIndex(ReachabilityIndex):
     # -- dynamic maintenance ------------------------------------------------
     def insert_edge(self, source: int, target: int) -> None:
         """Insert a DAG-preserving edge and propagate minima to ancestors."""
+        n = self._graph.num_vertices
+        if not (0 <= source < n and 0 <= target < n):
+            raise VertexError(f"edge ({source}, {target}) out of range for |V|={n}")
         if self.query(target, source):
             raise NotADAGError(
                 f"inserting ({source}, {target}) would create a cycle"

@@ -33,7 +33,7 @@ class _DegreeOrderedTwoHop(TwoHopProbeIndex):
     """Shared body of the degree-ordered complete 2-hop indexes."""
 
     @classmethod
-    def build(cls, graph: DiGraph, **params: object) -> "_DegreeOrderedTwoHop":
+    def build(cls, graph: DiGraph) -> "_DegreeOrderedTwoHop":
         with build_phase("landmark-order"):
             order = cls._order(graph)
         with build_phase("pruned-bfs-labeling") as phase:

@@ -105,7 +105,7 @@ class PReaCHIndex(ReachabilityIndex):
         self._level_bwd = level_bwd
 
     @classmethod
-    def build(cls, graph: DiGraph, **params: object) -> "PReaCHIndex":
+    def build(cls, graph: DiGraph) -> "PReaCHIndex":
         reverse = graph.reversed()
         with build_phase("forward-dfs-numbers"):
             fwd = _dfs_numbers(graph)

@@ -28,6 +28,7 @@ from __future__ import annotations
 from typing import ClassVar
 
 from repro.core.base import IndexMetadata, ReachabilityIndex, TriState
+from repro.core.condensed import build_plain
 from repro.graphs.digraph import DiGraph
 from repro.obs.build import build_phase
 
@@ -66,7 +67,6 @@ class ScarabBackboneIndex(ReachabilityIndex):
         cls,
         graph: DiGraph,
         inner: type[ReachabilityIndex] | None = None,
-        **params: object,
     ) -> "ScarabBackboneIndex":
         """Extract the backbone and build ``inner`` over ``G[S]``."""
         if inner is None:
@@ -87,17 +87,7 @@ class ScarabBackboneIndex(ReachabilityIndex):
                     if backbone_of[w] != -1:
                         induced.add_edge_if_absent(bu, backbone_of[w])
             phase.annotate(backbone=len(members), vertices=graph.num_vertices)
-        if inner.metadata.input_kind == "DAG":
-            from repro.core.condensed import CondensedIndex
-            from repro.graphs.topo import is_dag
-
-            if is_dag(induced):
-                inner_index: ReachabilityIndex = inner.build(induced, **params)
-            else:
-                inner_index = CondensedIndex.build(induced, inner=inner, **params)
-        else:
-            inner_index = inner.build(induced, **params)
-        return cls(graph, backbone_of, members, inner_index)
+        return cls(graph, backbone_of, members, build_plain(inner, induced))
 
     @property
     def backbone_size(self) -> int:

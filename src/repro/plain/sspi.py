@@ -50,7 +50,7 @@ class TreeSSPIIndex(ReachabilityIndex):
         self._surplus = surplus_predecessors
 
     @classmethod
-    def build(cls, graph: DiGraph, **params: object) -> "TreeSSPIIndex":
+    def build(cls, graph: DiGraph) -> "TreeSSPIIndex":
         with build_phase("spanning-tree-intervals"):
             order = topological_order(graph)
             parent = spanning_forest(graph, order)

@@ -62,7 +62,7 @@ class ThreeHopIndex(ReachabilityIndex):
         self._breakpoints = breakpoints
 
     @classmethod
-    def build(cls, graph: DiGraph, **params: object) -> "ThreeHopIndex":
+    def build(cls, graph: DiGraph) -> "ThreeHopIndex":
         with build_phase("chain-decomposition") as phase:
             decomposition = greedy_chain_decomposition(graph)
             num_chains = decomposition.num_chains

@@ -67,7 +67,7 @@ class _DynamicTwoHop(TwoHopProbeIndex):
         self._rank = {v: i for i, v in enumerate(order)}
 
     @classmethod
-    def build(cls, graph: DiGraph, **params: object) -> "_DynamicTwoHop":
+    def build(cls, graph: DiGraph) -> "_DynamicTwoHop":
         with build_phase("total-order"):
             order = cls._make_order(graph)
         with build_phase("pruned-bfs-labeling") as phase:
@@ -137,7 +137,7 @@ class TOLIndex(_DynamicTwoHop):
     )
 
     @classmethod
-    def build(cls, graph: DiGraph, order: list[int] | None = None, **params: object) -> "TOLIndex":
+    def build(cls, graph: DiGraph, order: list[int] | None = None) -> "TOLIndex":
         """Build with an explicit total order, or the degree default.
 
         ``order`` lets benchmarks compare instantiations (topological =

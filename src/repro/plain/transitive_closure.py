@@ -67,7 +67,7 @@ class TransitiveClosureIndex(ReachabilityIndex):
         self._closure = closure  # closure[c] = bitset of condensed vertices c reaches
 
     @classmethod
-    def build(cls, graph: DiGraph, **params: object) -> "TransitiveClosureIndex":
+    def build(cls, graph: DiGraph) -> "TransitiveClosureIndex":
         """Compute per-SCC descendant bitsets in reverse topological order.
 
         The sweep is the shared :func:`repro.kernels.descendant_bitsets`

@@ -78,7 +78,7 @@ class TwoHopIndex(TwoHopProbeIndex):
     )
 
     @classmethod
-    def build(cls, graph: DiGraph, **params: object) -> "TwoHopIndex":
+    def build(cls, graph: DiGraph) -> "TwoHopIndex":
         n = graph.num_vertices
         with build_phase("vertex-closures"):
             out_sets, in_sets = _vertex_closures(graph)

@@ -22,8 +22,8 @@ In front of the index sits an epoch-tagged LRU result cache
 (:mod:`repro.service.cache`) and an in-flight request coalescer
 (:mod:`repro.service.batching`); every answer is tallied per route in a
 :class:`~repro.obs.metrics.MetricsRegistry`.  Constraint routing
-reuses :func:`repro.gdbms.planner.classify_constraint` — the planner's
-§5 dispatch decision is the service's routing brain.
+reuses :func:`repro.traversal.regex.classify_constraint` — the §5
+dispatch decision the GDBMS planner makes is the service's routing brain.
 """
 
 from __future__ import annotations
@@ -44,21 +44,18 @@ from repro.core.base import (
     ReachabilityIndex,
     TriState,
 )
-from repro.core.condensed import CondensedIndex
+from repro.core.condensed import CondensedIndex, build_plain
 from repro.core.registry import labeled_index as labeled_index_cls
 from repro.core.registry import plain_index as plain_index_cls
 from repro.errors import (
     DeadlineExceeded,
     GraphError,
-    NotADAGError,
     QueryError,
     ServiceError,
     UnsupportedOperationError,
 )
-from repro.gdbms.planner import classify_constraint
 from repro.graphs.digraph import DiGraph
 from repro.graphs.labeled import LabeledDiGraph
-from repro.graphs.topo import is_dag
 from repro.obs.metrics import MetricsRegistry, global_registry
 from repro.obs.tracer import TRACER
 from repro.resilience.breaker import CircuitBreaker
@@ -66,6 +63,7 @@ from repro.resilience.chaos import chaos_point
 from repro.service.batching import QueryCoalescer, dedupe
 from repro.service.cache import MISS, ResultCache
 from repro.traversal.online import bfs_reachable
+from repro.traversal.regex import classify_constraint
 from repro.traversal.rpq import rpq_reachable
 from repro.workloads.updates import EdgeOp, LabeledEdgeOp, apply_op_rows
 
@@ -242,17 +240,9 @@ class ReachabilityService:
             )
 
     # -- snapshot construction -------------------------------------------
-    def _build_plain(
-        self,
-        graph: DiGraph,
-        name: str | None = None,
-        params: dict[str, object] | None = None,
-    ) -> ReachabilityIndex:
-        cls = plain_index_cls(name if name is not None else self._plain_name)
-        params = self._index_params if params is None else params
-        if cls.metadata.input_kind == "DAG" and not is_dag(graph):
-            return CondensedIndex.build(graph, inner=cls, **params)
-        return cls.build(graph, **params)
+    def _build_plain(self, graph: DiGraph) -> ReachabilityIndex:
+        """The configured family over ``graph`` (writer-owned)."""
+        return build_plain(self._plain_name, graph, **self._index_params)
 
     def _labeled_snapshot(
         self,
@@ -715,7 +705,7 @@ class ReachabilityService:
             plain = (
                 prebuilt
                 if prebuilt is not None
-                else self._build_plain(snap.graph, name=name, params=params)
+                else build_plain(name, snap.graph, **params)
             )
             if self._wal is not None:
                 self._wal_applied_lsn = self._wal.append(
@@ -779,10 +769,13 @@ class ReachabilityService:
         The patched index is the constrained one in labeled mode, the
         plain one otherwise.  Every rejection that can be decided
         cheaply — rebuild policy, non-dynamic family (§3.2's Table 1
-        "dynamic" column), unsupported op kinds, and a per-op validity
-        pre-pass on a graph copy — happens *before* the O(index)
-        ``copy.deepcopy``, so a doomed batch skips straight to the
-        rebuild path.  A successful patch is then differentially audited
+        "dynamic" column), unsupported op kinds — happens *before* the
+        O(index) ``copy.deepcopy``.  Per-op validity is the family's own
+        job: a bad vertex, duplicate insert, absent delete or
+        cycle-closing insert raises out of its maintenance call and the
+        batch takes the rebuild path, which raises the same
+        :class:`~repro.errors.GraphError` a caller would have seen (or
+        condenses).  A successful patch is then differentially audited
         against the BFS/RPQ oracle on sampled pairs; any mismatch
         discards the patch (counted, logged) and falls back to a full
         rebuild, so a buggy incremental maintenance path can never serve
@@ -800,41 +793,14 @@ class ReachabilityService:
             return None
         if dynamic == "insert-only" and any(row[0] != "insert" for row in rows):
             return None
-        if not self._patch_viable(index, rows):
-            return None
         index = copy.deepcopy(index)
         try:
             apply_op_rows(rows, index.insert_edge, index.delete_edge)
         except (UnsupportedOperationError, GraphError):
-            return None  # e.g. a cycle-creating insert on a DAG-only index
+            return None  # the family refused an op; the rebuild path decides
         if not self._audit_patched(index, snap.epoch + 1, labeled=self._labeled_mode):
             return None
         return index
-
-    def _patch_viable(self, index, rows: list[list]) -> bool:
-        """Cheap per-op validity pre-pass: would the patch certainly fail?
-
-        Simulates the batch on a copy of the *graph* — O(|E| + ops·BFS)
-        at worst, versus deep-copying the whole index — catching bad
-        vertex ids, duplicate inserts, deletes of absent edges, and
-        cycle-creating inserts against a DAG-only family.  ``False``
-        routes to the rebuild path, which raises the same
-        :class:`~repro.errors.GraphError` a caller would have seen.
-        """
-        probe = index.graph.copy()
-        insert = probe.add_edge
-        if index.metadata.input_kind == "DAG":
-
-            def insert(source: int, target: int) -> None:
-                if bfs_reachable(probe, target, source):
-                    raise NotADAGError("insert would close a cycle under a DAG index")
-                probe.add_edge(source, target)
-
-        try:
-            apply_op_rows(rows, insert, probe.remove_edge)
-        except GraphError:
-            return False
-        return True
 
     def _audit_patched(self, index, epoch: int, labeled: bool) -> bool:
         """Differentially probe a patched index against the BFS oracle.

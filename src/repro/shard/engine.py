@@ -22,28 +22,24 @@ between boundary vertices is a closure edge.  Same-shard pairs whose
 local index answers NO still fall through to the boundary composition: a
 path may exit the shard and re-enter it.
 
-Shard builds run in parallel via :mod:`concurrent.futures` (threads by
-default; an optional process pool for true CPU parallelism; ``serial``
-for debugging), and every shard's :class:`~repro.obs.build.BuildReport`
-is aggregated into one :class:`ShardBuildReport`.
+Shard builds run one after another in the calling process, each retried
+on transient failure; ``executor="process"`` hands them to a process
+pool instead, which pays off once the shards are large enough to amortise
+pickling them across (docs/SHARDING.md has the race).  Every shard's
+:class:`~repro.obs.build.BuildReport` is aggregated into one
+:class:`ShardBuildReport`.
 """
 
 from __future__ import annotations
 
 import os
-import pickle
 import random
 import time
 from collections.abc import Sequence
-from concurrent.futures import (
-    BrokenExecutor,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import ClassVar
 
-from repro import accel as _accel
 from repro.core.base import IndexMetadata, ReachabilityIndex, TriState
 from repro.core.registry import plain_index, register_plain
 from repro.errors import IndexBuildError
@@ -89,15 +85,6 @@ class ShardBuildReport:
     boundary_report: BuildReport | None
     #: Build attempts each shard needed (1 = first try; >1 = retried).
     shard_attempts: tuple[int, ...] = field(default=())
-    #: How shard graphs reached the workers: ``inline`` (same process /
-    #: threads), ``shm`` (shared-memory snapshot handles), or ``pickle``
-    #: (whole subgraphs serialised per worker).
-    transport: str = "inline"
-    #: Serialised payload each process worker received, bytes per shard
-    #: (empty for inline transports — nothing crosses a process boundary).
-    bytes_shipped_per_worker: tuple[int, ...] = field(default=())
-    #: The kernel backend active during the build ("python" or "numpy").
-    backend: str = "python"
 
     def as_dict(self) -> dict[str, object]:
         """JSON-serialisable plain data (the BENCH_shard.json shape)."""
@@ -124,9 +111,6 @@ class ShardBuildReport:
                 else None
             ),
             "shard_attempts": list(self.shard_attempts),
-            "transport": self.transport,
-            "bytes_shipped_per_worker": list(self.bytes_shipped_per_worker),
-            "backend": self.backend,
         }
 
     def render_text(self) -> str:
@@ -134,8 +118,7 @@ class ShardBuildReport:
         lines = [
             f"Sharded[{self.family} x{self.num_shards}] built in "
             f"{self.total_seconds * 1e3:.2f}ms ({self.executor}, "
-            f"{self.workers} workers, {self.transport} transport, "
-            f"{self.backend} backend)",
+            f"{self.workers} workers)",
             f"  partition: {self.partition_seconds * 1e3:.2f}ms  "
             f"[cut_edges={self.cut_edges} boundary={self.boundary_vertices}]",
             f"  shard builds: {self.shard_build_seconds * 1e3:.2f}ms",
@@ -159,12 +142,6 @@ class ShardBuildReport:
                 )
                 + (f", {attempts} attempts" if attempts > 1 else "")
             )
-        if self.bytes_shipped_per_worker:
-            total_shipped = sum(self.bytes_shipped_per_worker)
-            lines.append(
-                f"  shipped to workers: {total_shipped:,} bytes "
-                f"({self.transport})"
-            )
         lines.append(
             f"  boundary: {self.boundary_seconds * 1e3:.2f}ms  "
             f"[edges={self.boundary_edges}]"
@@ -187,25 +164,6 @@ def _build_one_shard(family: str, graph: DiGraph) -> ReachabilityIndex:
     """
     chaos_point("shard.build_worker")
     return plain_index(family).build(graph)
-
-
-def _build_one_shard_from_handle(family: str, handle) -> ReachabilityIndex:
-    """Worker entry for the shared-memory transport.
-
-    Attaches to the parent's CSR snapshot, rebuilds the shard's
-    :class:`DiGraph` locally (one bulk copy, no per-edge inserts), and
-    releases the mapping before the build proper — after reconstruction
-    the worker holds no shared state.
-    """
-    from repro.accel.arrays import CSRArrays, digraph_from_arrays
-
-    arrays, shm = CSRArrays.from_shared(handle)
-    try:
-        graph = digraph_from_arrays(arrays)
-    finally:
-        del arrays
-        shm.close()
-    return _build_one_shard(family, graph)
 
 
 def _build_with_retry(
@@ -232,55 +190,6 @@ def _build_with_retry(
     )
 
 
-def _run_shm_builds(
-    family: str, graphs: Sequence[DiGraph], workers: int
-) -> tuple[list[ReachabilityIndex], list[int], str, tuple[int, ...]] | None:
-    """The shared-memory process-pool wave, or None if it cannot run.
-
-    Each shard graph is snapshotted once into a shared-memory block and
-    workers receive only a :class:`SharedCSRHandle` — a few dozen
-    pickled bytes per shard instead of the whole subgraph.  The parent
-    owns every block and unlinks them all once the wave settles; any
-    failure (no /dev/shm, dead worker) falls back to the pickle wave.
-    """
-    from repro.accel.arrays import CSRArrays
-
-    shms: list = []
-    try:
-        try:
-            handles = []
-            for graph in graphs:
-                shm, handle = CSRArrays.from_digraph(graph).to_shared()
-                shms.append(shm)
-                handles.append(handle)
-        except (OSError, ValueError):
-            global_registry().counter("shard.build.shm_fallbacks").increment()
-            return None
-        bytes_shipped = tuple(
-            len(pickle.dumps((family, handle))) for handle in handles
-        )
-        try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                indexes = list(
-                    pool.map(
-                        _build_one_shard_from_handle,
-                        [family] * len(handles),
-                        handles,
-                    )
-                )
-        except (OSError, ValueError, BrokenExecutor):
-            global_registry().counter("shard.build.shm_fallbacks").increment()
-            return None
-        return indexes, [1] * len(graphs), "shm", bytes_shipped
-    finally:
-        for shm in shms:
-            try:
-                shm.close()
-                shm.unlink()
-            except OSError:
-                pass
-
-
 def _run_builds(
     family: str,
     graphs: Sequence[DiGraph],
@@ -288,67 +197,34 @@ def _run_builds(
     workers: int,
     attempts: int = _BUILD_ATTEMPTS,
     retry_seed: int = 0,
-) -> tuple[list[ReachabilityIndex], list[int], str, tuple[int, ...]]:
-    """Build every shard's index, in parallel where asked.
+) -> tuple[list[ReachabilityIndex], list[int]]:
+    """Build every shard's index; returns ``(indexes, attempt_counts)``.
 
-    Returns ``(indexes, attempt_counts, transport, bytes_shipped)``.
-    Process pools prefer the shared-memory transport when the
-    acceleration layer is enabled, degrading to pickled subgraphs and
-    then to threads: a dead worker (``BrokenExecutor``) retries the
-    whole wave on threads — threads cannot die out from under the
-    interpreter — so a one-off crash degrades parallelism, never
+    The process pool ships each shard subgraph to a worker and the built
+    index back.  When it cannot run — no fork/semaphores, or a worker
+    died mid-build (``BrokenExecutor``) — the whole wave is rebuilt by
+    the in-process loop, so a one-off crash costs parallelism, never
     correctness.
     """
-    rngs = [
-        random.Random(f"shard-retry:{retry_seed}:{shard}")
-        for shard in range(len(graphs))
-    ]
-    if executor == "serial" or len(graphs) <= 1 or workers <= 1:
-        built = [
-            _build_with_retry(family, graph, attempts, rng)
-            for graph, rng in zip(graphs, rngs)
-        ]
-        return (
-            [index for index, _ in built],
-            [used for _, used in built],
-            "inline",
-            (),
-        )
-    if executor == "process":
-        if _accel.enabled():
-            shm_wave = _run_shm_builds(family, graphs, workers)
-            if shm_wave is not None:
-                return shm_wave
+    if executor == "process" and len(graphs) > 1 and workers > 1:
         try:
-            bytes_shipped = tuple(
-                len(pickle.dumps((family, graph))) for graph in graphs
-            )
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                return (
-                    list(
-                        pool.map(_build_one_shard, [family] * len(graphs), graphs)
-                    ),
-                    [1] * len(graphs),
-                    "pickle",
-                    bytes_shipped,
+                indexes = list(
+                    pool.map(_build_one_shard, [family] * len(graphs), graphs)
                 )
+            return indexes, [1] * len(graphs)
         except (OSError, ValueError, BrokenExecutor):
-            # No fork/semaphores, or a worker died mid-build: retry the
-            # whole wave on threads.
             global_registry().counter("shard.build.pool_fallbacks").increment()
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        built = list(
-            pool.map(
-                lambda pair: _build_with_retry(family, pair[0], attempts, pair[1]),
-                zip(graphs, rngs),
-            )
+    built = [
+        _build_with_retry(
+            family,
+            graph,
+            attempts,
+            random.Random(f"shard-retry:{retry_seed}:{shard}"),
         )
-    return (
-        [index for index, _ in built],
-        [used for _, used in built],
-        "inline",
-        (),
-    )
+        for shard, graph in enumerate(graphs)
+    ]
+    return [index for index, _ in built], [used for _, used in built]
 
 
 @register_plain
@@ -416,33 +292,29 @@ class ShardedIndex(ReachabilityIndex):
         family: str = "PLL",
         num_shards: int = 4,
         refine_passes: int = 2,
-        executor: str = "thread",
+        executor: str = "serial",
         workers: int | None = None,
         build_attempts: int = _BUILD_ATTEMPTS,
         retry_seed: int = 0,
     ) -> "ShardedIndex":
         """Partition ``graph``, build ``family`` per shard, index the boundary.
 
-        ``executor`` is ``"thread"`` (default), ``"process"`` (true CPU
-        parallelism; shard graphs and built indexes cross the pickle
-        boundary), or ``"serial"``.  ``workers`` defaults to
-        ``min(num_shards, cpu_count)``.  Transient per-shard build
-        failures retry up to ``build_attempts`` times with seeded
-        exponential backoff (``retry_seed`` makes the schedule
-        replayable); per-shard attempt counts land in the
-        :class:`ShardBuildReport`.
+        ``executor`` is ``"serial"`` (default: one shard after another,
+        in this process) or ``"process"`` (a pool of ``workers``
+        processes, default ``min(num_shards, cpu_count)``; shard graphs
+        and built indexes cross the pickle boundary, so it only wins on
+        large graphs).  Transient per-shard build failures in the loop
+        retry up to ``build_attempts`` times with seeded exponential
+        backoff (``retry_seed`` makes the schedule replayable);
+        per-shard attempt counts land in the :class:`ShardBuildReport`.
         """
         if family == cls.metadata.name:
             raise IndexBuildError("a sharded index cannot shard itself")
-        if executor not in ("thread", "process", "serial"):
+        if executor not in ("serial", "process"):
             raise IndexBuildError(
-                f"executor must be 'thread', 'process' or 'serial', got {executor!r}"
+                f"executor must be 'serial' or 'process', got {executor!r}"
             )
-        inner_cls = plain_index(family)  # fail fast on unknown families
-        if inner_cls.metadata.input_kind != "DAG":
-            # General-input families work on any subgraph; DAG-only ones
-            # are fine too because shard subgraphs of a DAG stay acyclic.
-            pass
+        plain_index(family)  # fail fast on unknown families
         t_start = time.perf_counter()
         with build_phase("partition") as ph:
             partition = partition_dag(graph, num_shards, refine_passes)
@@ -461,7 +333,7 @@ class ShardedIndex(ReachabilityIndex):
             )
             ph.annotate(sizes=list(partition.shard_sizes))
         with build_phase("shard-builds") as ph:
-            shard_indexes, shard_attempts, transport, bytes_shipped = _run_builds(
+            shard_indexes, shard_attempts = _run_builds(
                 family,
                 shard_graphs,
                 executor,
@@ -474,7 +346,6 @@ class ShardedIndex(ReachabilityIndex):
                 shards=k,
                 executor=executor,
                 workers=workers,
-                transport=transport,
             )
         t_builds = time.perf_counter()
         with build_phase("boundary-graph") as ph:
@@ -522,9 +393,6 @@ class ShardedIndex(ReachabilityIndex):
                 boundary_index.build_report if boundary_index is not None else None
             ),
             shard_attempts=tuple(shard_attempts),
-            transport=transport,
-            bytes_shipped_per_worker=bytes_shipped,
-            backend=_accel.backend_name(),
         )
         registry = global_registry()
         registry.counter("shard.build.builds").increment()

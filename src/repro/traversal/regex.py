@@ -33,6 +33,7 @@ __all__ = [
     "parse_constraint",
     "alternation_label_set",
     "concatenation_sequence",
+    "classify_constraint",
     "regex_to_string",
 ]
 
@@ -246,6 +247,27 @@ def concatenation_sequence(node: RegexNode) -> tuple[str, ...] | None:
     if not flatten(node.inner):
         return None
     return tuple(sequence)
+
+
+def classify_constraint(
+    constraint: str | RegexNode, max_period: int | None = None
+) -> tuple[str, RegexNode]:
+    """Route a path constraint to the index family that can serve it.
+
+    Returns ``(route, parsed)`` where ``route`` is ``"alternation"``
+    (the §4.1 indexes apply), ``"concatenation"`` (the RLC index
+    applies, subject to ``max_period`` when given), or ``"traversal"``
+    (no Table 2 index covers the shape).  This is the §5 routing
+    decision, shared between the in-process planner and the serving
+    tier so both dispatch identically.
+    """
+    node = parse_constraint(constraint)
+    if alternation_label_set(node) is not None:
+        return "alternation", node
+    sequence = concatenation_sequence(node)
+    if sequence is not None and (max_period is None or len(sequence) <= max_period):
+        return "concatenation", node
+    return "traversal", node
 
 
 def regex_to_string(node: RegexNode) -> str:

@@ -9,7 +9,6 @@ stays silently disabled.
 
 from __future__ import annotations
 
-import pickle
 import random
 
 import pytest
@@ -144,60 +143,9 @@ class TestLabelDifferential:
         assert labels.covered_many(pairs) == [labels.covered(s, t) for s, t in pairs]
 
 
-# -- CSR arrays and shared memory -----------------------------------------
+# -- CSR arrays ------------------------------------------------------------
 @needs_numpy
 class TestSharedArrays:
-    def test_from_csr_matches_from_digraph(self):
-        from repro.accel.arrays import CSRArrays
-
-        graph = random_dag(50, 180, seed=51)
-        a = CSRArrays.from_csr(csr_of(graph))
-        b = CSRArrays.from_digraph(graph)
-        for name in ("out_indptr", "out_indices", "in_indptr", "in_indices"):
-            assert getattr(a, name).tolist() == getattr(b, name).tolist()
-
-    def test_shared_memory_round_trip(self):
-        from repro.accel.arrays import CSRArrays, digraph_from_arrays
-
-        graph = gnp_digraph(40, 0.1, seed=52)
-        arrays = CSRArrays.from_digraph(graph)
-        shm, handle = arrays.to_shared()
-        try:
-            attached, worker_shm = CSRArrays.from_shared(handle)
-            rebuilt = digraph_from_arrays(attached)
-            assert rebuilt.num_vertices == graph.num_vertices
-            assert rebuilt.num_edges == graph.num_edges
-            assert sorted(rebuilt.edges()) == sorted(graph.edges())
-            del attached
-            worker_shm.close()
-        finally:
-            shm.close()
-            shm.unlink()
-
-    def test_handle_pickles_small(self):
-        from repro.accel.arrays import CSRArrays
-
-        graph = random_dag(400, 1600, seed=53)
-        shm, handle = CSRArrays.from_digraph(graph).to_shared()
-        try:
-            handle_bytes = len(pickle.dumps(handle))
-            graph_bytes = len(pickle.dumps(graph))
-            assert handle_bytes < 256
-            assert handle_bytes < graph_bytes // 10
-        finally:
-            shm.close()
-            shm.unlink()
-
-    def test_to_shared_failure_surfaces(self):
-        from repro.accel.arrays import CSRArrays
-
-        def broken_factory(create, size):
-            raise OSError("no /dev/shm")
-
-        arrays = CSRArrays.from_digraph(random_dag(10, 20, seed=54))
-        with pytest.raises(OSError):
-            arrays.to_shared(factory=broken_factory)
-
     def test_level_schedule_none_on_cycle(self):
         from repro.accel.arrays import CSRArrays
 
@@ -205,47 +153,9 @@ class TestSharedArrays:
         graph.add_edge(0, 1)
         graph.add_edge(1, 2)
         graph.add_edge(2, 0)
-        assert CSRArrays.from_digraph(graph).schedule(forward=True) is None
-        assert CSRArrays.from_digraph(graph).schedule(forward=False) is None
-
-
-# -- shard transport -------------------------------------------------------
-@needs_numpy
-class TestShardTransport:
-    def _build(self, graph, **kwargs):
-        from repro.shard.engine import ShardedIndex
-
-        return ShardedIndex.build(
-            graph, family="PLL", num_shards=4, executor="process", **kwargs
-        )
-
-    def test_shm_ships_fewer_bytes_than_pickle(self):
-        graph = random_dag(300, 900, seed=61)
-        index = self._build(graph, workers=2)
-        report = index.shard_build_report
-        if report.transport == "inline":
-            pytest.skip("process pool unavailable in this environment")
-        assert report.transport == "shm"
-        assert len(report.bytes_shipped_per_worker) == report.num_shards
-        accel.set_backend("python")
-        pickled = self._build(graph, workers=2).shard_build_report
-        if pickled.transport == "inline":
-            pytest.skip("process pool unavailable in this environment")
-        assert pickled.transport == "pickle"
-        assert sum(report.bytes_shipped_per_worker) < sum(
-            pickled.bytes_shipped_per_worker
-        )
-        assert report.as_dict()["transport"] == "shm"
-        assert "shm" in report.render_text()
-
-    def test_shm_and_pickle_agree(self):
-        graph = random_dag(200, 600, seed=62)
-        shm_index = self._build(graph, workers=2)
-        accel.set_backend("python")
-        pickle_index = self._build(graph, workers=2)
-        pairs = _pairs(graph, 300, seed=63)
-        accel.set_backend("auto")
-        assert shm_index.query_batch(pairs) == pickle_index.query_batch(pairs)
+        arrays = CSRArrays.from_csr(csr_of(graph))
+        assert arrays.schedule(forward=True) is None
+        assert arrays.schedule(forward=False) is None
 
 
 # -- backend selection and reporting ---------------------------------------

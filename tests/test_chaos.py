@@ -122,7 +122,7 @@ class TestChaosMatrix:
         start = time.perf_counter()
         with chaos(policy):
             index = ShardedIndex.build(
-                graph, family="PLL", num_shards=2, executor="thread"
+                graph, family="PLL", num_shards=2, executor="serial"
             )
         assert time.perf_counter() - start >= 0.05
         assert policy.injected_counts()["shard.build_worker/delay"] == 1
@@ -138,7 +138,7 @@ class TestChaosMatrix:
             ChaosPolicy([Fault(point="shard.build_worker", kind="error", times=1)], seed=2)
         ):
             index = ShardedIndex.build(
-                graph, family="PLL", num_shards=2, executor="thread"
+                graph, family="PLL", num_shards=2, executor="serial"
             )
         assert max(index.shard_build_report.shard_attempts) == 2
         assert index.query(0, 100) == bfs_reachable(graph, 0, 100)
@@ -153,7 +153,7 @@ class TestChaosMatrix:
         ):
             with pytest.raises(ChaosInjectedError):
                 ShardedIndex.build(
-                    graph, family="PLL", num_shards=2, executor="thread"
+                    graph, family="PLL", num_shards=2, executor="serial"
                 )
 
     def test_corrupt_index_file_is_typed(self, tmp_path):

@@ -161,3 +161,94 @@ def test_dagger_resweep_restores_precision():
         if index.lookup(s, t) is TriState.NO
     )
     assert fires > 0
+
+
+# -- invalid ops: the family refuses, the service rebuilds or re-raises ------
+# The service's write path has no validity pre-pass: a dynamic family must
+# refuse a bad op itself with a GraphError (or UnsupportedOperationError),
+# which the writer turns into the rebuild path — a counted rebuild when the
+# op is legal on the graph (a cycle under a DAG-only family condenses), the
+# graph's own GraphError otherwise.
+_DYNAMIC_PLAIN = sorted(n for n, c in PLAIN.items() if c.metadata.dynamic != "no")
+_DYNAMIC_LABELED = sorted(n for n, c in LABELED.items() if c.metadata.dynamic != "no")
+_LABELS = ["a", "b"]
+
+
+def _plain_graph():
+    return random_dag(20, 40, seed=7)
+
+
+def _labeled_graph():
+    return random_labeled_digraph(14, 30, _LABELS, seed=9)
+
+
+def _invalid_op(graph, case, labeled):
+    """``(kind, source, target[, label])`` for one invalid-op case."""
+    n = graph.num_vertices
+    pairs = [(s, t) for s in range(n) for t in range(n) if s != t]
+    u, v, *label = next(iter(graph.edges()))
+
+    def present(s, t):
+        if labeled:
+            return any(graph.has_edge(s, t, x) for x in _LABELS)
+        return graph.has_edge(s, t)
+
+    if case == "cycle":
+        s, t = next(
+            (t, s) for s, t in pairs if bfs_reachable(graph, s, t) and not present(t, s)
+        )
+        op = ("insert", s, t)
+    elif case == "duplicate":
+        op = ("insert", u, v)
+    elif case == "absent":
+        op = ("delete", *next((s, t) for s, t in pairs if not present(s, t)))
+    else:
+        op = ("insert", 0, n + 3)
+    return op + ((label[0],) if labeled else ())
+
+
+def _invalid_cases():
+    for name in _DYNAMIC_PLAIN:
+        dag_only = PLAIN[name].metadata.input_kind == "DAG"
+        for case in ("cycle", "duplicate", "absent", "range"):
+            if case != "cycle" or dag_only:
+                yield pytest.param(False, name, case, id=f"{name}-{case}")
+    for name in _DYNAMIC_LABELED:
+        for case in ("duplicate", "absent", "range"):
+            yield pytest.param(True, name, case, id=f"{name}-{case}")
+
+
+@pytest.mark.parametrize("labeled, name, case", _invalid_cases())
+def test_invalid_op_is_refused_by_the_family_and_survived_by_the_service(
+    labeled, name, case
+):
+    from repro.core.condensed import CondensedIndex
+    from repro.errors import EdgeError, GraphError, VertexError
+    from repro.service import ReachabilityService
+    from repro.workloads.updates import EdgeOp, LabeledEdgeOp
+
+    make = _labeled_graph if labeled else _plain_graph
+    kind, *args = _invalid_op(make(), case, labeled)
+    index = (LABELED if labeled else PLAIN)[name].build(make())
+    apply = index.insert_edge if kind == "insert" else index.delete_edge
+    with pytest.raises((GraphError, UnsupportedOperationError)):
+        apply(*args)
+
+    if labeled:
+        service = ReachabilityService(make(), labeled_index=name)
+        op = LabeledEdgeOp(kind, *args)
+    else:
+        service = ReachabilityService(make(), index=name)
+        op = EdgeOp(kind, *args)
+    if case == "cycle":
+        assert service.apply_updates([op]) == 1
+        counters = service.metrics_dict()["service"]
+        assert (counters["patches"], counters["rebuilds"]) == (0, 1)
+        snap = service.acquire()
+        assert isinstance(snap.plain, CondensedIndex)
+        assert snap.plain.query(args[1], args[0]) and snap.plain.query(args[0], args[1])
+        return
+    with pytest.raises(VertexError if case == "range" else EdgeError):
+        service.apply_updates([op])
+    counters = service.metrics_dict()["service"]
+    assert (counters["patches"], counters["rebuilds"], service.epoch) == (0, 0, 0)

@@ -42,16 +42,6 @@ def test_larger_batches_only_add_redundancy():
     assert max(sizes) <= 2 * sequential_size
 
 
-def test_thread_workers_produce_exact_labels():
-    graph = cyclic_communities(5, 4, 10, seed=34)
-    labels = batched_pruned_labels(
-        graph, degree_order(graph), batch_size=8, workers="thread", max_workers=4
-    )
-    for s in graph.vertices():
-        for t in graph.vertices():
-            assert labels.covered(s, t) == bfs_reachable(graph, s, t)
-
-
 def test_batched_index_class():
     graph = cyclic_communities(4, 4, 8, seed=35)
     index = BatchedPLLIndex.build(graph, batch_size=8)

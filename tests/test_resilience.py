@@ -265,7 +265,7 @@ class TestShardBuildRetry:
         )
         with chaos(policy):
             index = ShardedIndex.build(
-                graph, family="PLL", num_shards=2, executor="thread"
+                graph, family="PLL", num_shards=2, executor="serial"
             )
         attempts = index.shard_build_report.shard_attempts
         assert sorted(attempts) == [1, 2]  # one shard needed a second try

@@ -139,7 +139,7 @@ class TestCommunityDag:
 
 # -- parallel builds and the aggregated report ------------------------------
 class TestParallelBuild:
-    @pytest.mark.parametrize("executor", ("serial", "thread", "process"))
+    @pytest.mark.parametrize("executor", ("serial", "process"))
     def test_executors_agree(self, executor):
         graph = community_dag(4, 10, seed=520, inter_edge_prob=0.05)
         index = ShardedIndex.build(

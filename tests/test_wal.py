@@ -3,9 +3,10 @@
 Covers the frame format (CRC detection, torn tails truncated, mid-log
 corruption refused with a typed error), segment rotation, checkpoint +
 truncation, bounded write admission, the three ``wal.*`` chaos points,
-the engine/authz append-before-swap integration, the ``_try_patch_*``
-pre-pass, the post-patch differential audit (a seeded bad patch becomes
-a counted rebuild, never a wrong answer), and the OpenMetrics surfacing
+the engine/authz append-before-swap integration, doomed patch batches
+(refused by the family, then rebuilt), the post-patch differential audit
+(a seeded bad patch becomes a counted rebuild, never a wrong answer),
+and the OpenMetrics surfacing
 of the new ``repro_wal_*`` / ``repro_service_writes`` series.
 """
 
@@ -351,7 +352,7 @@ class TestEngineIntegration:
         wal2.close()
 
 
-# -- patch pre-pass and post-patch audit ---------------------------------
+# -- doomed patches and the post-patch audit -----------------------------
 class TestPatchAudit:
     def _two_chains(self) -> DiGraph:
         graph = DiGraph(6)
@@ -359,37 +360,26 @@ class TestPatchAudit:
             graph.add_edge(source, target)
         return graph
 
-    def test_doomed_batch_skips_deepcopy(self, monkeypatch):
+    # (These two used to trip on ``copy.deepcopy``: a graph-copy pre-pass
+    # dodged the index copy for doomed batches.  The pre-pass is gone — the
+    # family refuses the op itself — and the caller-visible outcome they
+    # pin is unchanged.)
+    def test_doomed_batch_skips_deepcopy(self):
         service = ReachabilityService(self._two_chains(), index="DAGGER")
         rebuilds = service.metrics.counter("service.rebuilds").value
-
-        def _fail_deepcopy(obj, *args, **kwargs):
-            raise AssertionError("deepcopy ran for a doomed batch")
-
-        monkeypatch.setattr(
-            "repro.service.engine.copy.deepcopy", _fail_deepcopy
-        )
-        # A cycle-closing insert on a DAG-only family: the pre-pass must
-        # reject it before the O(index) copy; the rebuild path then
-        # handles the now-cyclic graph (condensation) exactly as before.
+        # A cycle-closing insert on a DAG-only family: DAGGER refuses it,
+        # and the rebuild path handles the now-cyclic graph (condensation).
         epoch = service.apply_updates([EdgeOp("insert", 2, 0)])
         assert epoch == 1
         assert service.metrics.counter("service.rebuilds").value == rebuilds + 1
         assert service.reach(1, 0)  # through the new cycle
 
-    def test_doomed_delete_of_absent_edge_skips_deepcopy(self, monkeypatch):
+    def test_doomed_delete_of_absent_edge_skips_deepcopy(self):
         service = ReachabilityService(self._two_chains(), index="DAGGER")
-
-        def _fail_deepcopy(obj, *args, **kwargs):
-            raise AssertionError("deepcopy ran for a doomed batch")
-
-        monkeypatch.setattr(
-            "repro.service.engine.copy.deepcopy", _fail_deepcopy
-        )
         from repro.errors import GraphError
 
         # The rebuild path reproduces the same user-visible error the
-        # patch would have hit, minus the index copy.
+        # patch hit.
         with pytest.raises(GraphError):
             service.apply_updates([EdgeOp("delete", 0, 5)])
         assert service.epoch == 0
