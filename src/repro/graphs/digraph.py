@@ -160,8 +160,20 @@ class DiGraph:
         return rev
 
     def copy(self) -> "DiGraph":
-        """An independent copy of this graph."""
-        return DiGraph(self.num_vertices, self.edges())
+        """An independent copy of this graph, row order preserved.
+
+        Structural: one C-level ``list.copy`` / ``set.copy`` per adjacency
+        row.  The CSR cache is not carried over (the clone starts at
+        version 0, as after unpickling).
+        """
+        clone = DiGraph.__new__(DiGraph)
+        clone._out = list(map(list.copy, self._out))
+        clone._in = list(map(list.copy, self._in))
+        clone._out_sets = list(map(set.copy, self._out_sets))
+        clone._num_edges = self._num_edges
+        clone._version = 0
+        clone._csr_cache = None
+        return clone
 
     # ------------------------------------------------------------------
     # Dunder protocol
@@ -190,8 +202,15 @@ class DiGraph:
     def __hash__(self) -> int:  # graphs are mutable
         raise TypeError("DiGraph is unhashable")
 
+    def __deepcopy__(self, memo: dict[int, object]) -> "DiGraph":
+        """``copy.deepcopy`` is :meth:`copy`: vertex ids are atomic, so
+        walking each one through the memo buys nothing.  Registering the
+        clone keeps an index and its wrapper on *one* graph."""
+        clone = memo[id(self)] = self.copy()
+        return clone
+
     def __getstate__(self) -> dict[str, object]:
-        """Pickle/deep-copy state: adjacency only, never the CSR cache."""
+        """Pickle state: adjacency only, never the CSR cache."""
         return {
             "_out": self._out,
             "_in": self._in,

@@ -208,12 +208,26 @@ class LabeledDiGraph:
         return rev
 
     def copy(self) -> "LabeledDiGraph":
-        """An independent copy of this graph (label ids preserved)."""
-        clone = LabeledDiGraph(self.num_vertices)
-        for label in self._label_names:
-            clone.intern_label(label)
-        for u, v, label in self.edges():
-            clone.add_edge(u, v, label)
+        """An independent copy of this graph (label ids and row order
+        preserved).
+
+        Structural: one C-level ``list.copy`` per adjacency row; the
+        ``(neighbor, label_id)`` pairs, edge keys and label names are
+        immutable and shared.
+        """
+        clone = LabeledDiGraph.__new__(LabeledDiGraph)
+        clone._out = list(map(list.copy, self._out))
+        clone._in = list(map(list.copy, self._in))
+        clone._edge_set = self._edge_set.copy()
+        clone._label_ids = self._label_ids.copy()
+        clone._label_names = self._label_names[:]
+        clone._num_edges = self._num_edges
+        return clone
+
+    def __deepcopy__(self, memo: dict[int, object]) -> "LabeledDiGraph":
+        """``copy.deepcopy`` is :meth:`copy`, registered in ``memo`` so an
+        index and its wrapper keep sharing *one* graph."""
+        clone = memo[id(self)] = self.copy()
         return clone
 
     # ------------------------------------------------------------------

@@ -21,6 +21,7 @@ traversal, as for GRAIL.
 
 from __future__ import annotations
 
+import copy
 import random
 from collections import deque
 from typing import ClassVar
@@ -65,6 +66,18 @@ class DaggerIndex(ReachabilityIndex):
         self._high = high
         self._resweep_after = resweep_after
         self._deletions_since_sweep = 0
+
+    def __deepcopy__(self, memo: dict[int, object]) -> "DaggerIndex":
+        """Slice the three flat int lists; deep-copy the rest as usual.
+
+        Kept because it beats the generic per-element walk by > 1.2x on
+        the ledger graph (see docs/PERFORMANCE.md).
+        """
+        clone = memo[id(self)] = object.__new__(type(self))
+        state = self.__getstate__()
+        flat = {key: state.pop(key)[:] for key in ("_value", "_low", "_high")}
+        clone.__dict__.update(copy.deepcopy(state, memo), **flat)
+        return clone
 
     @classmethod
     def build(

@@ -54,6 +54,21 @@ class TwoHopLabels:
         """Invalidate the inverted-hub cache after an in-place mutation."""
         self._version += 1
 
+    def copy(self) -> "TwoHopLabels":
+        """Independent label sets (one ``set.copy()`` per vertex and
+        side); the inverted-hub cache is not carried over."""
+        clone = TwoHopLabels.__new__(TwoHopLabels)
+        clone.l_in = list(map(set.copy, self.l_in))
+        clone.l_out = list(map(set.copy, self.l_out))
+        clone._version = 0
+        clone._inverted = None
+        return clone
+
+    def __deepcopy__(self, memo: dict[int, object]) -> "TwoHopLabels":
+        """``copy.deepcopy`` is :meth:`copy`: hop ids are atomic."""
+        clone = memo[id(self)] = self.copy()
+        return clone
+
     def __getstate__(self) -> dict[str, object]:
         """Persistable state: the sets only, never the derived caches."""
         return {"l_in": self.l_in, "l_out": self.l_out}

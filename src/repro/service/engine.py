@@ -770,7 +770,10 @@ class ReachabilityService:
         plain one otherwise.  Every rejection that can be decided
         cheaply — rebuild policy, non-dynamic family (§3.2's Table 1
         "dynamic" column), unsupported op kinds — happens *before* the
-        O(index) ``copy.deepcopy``.  Per-op validity is the family's own
+        ``copy.deepcopy``, which is structural: the graph and 2-hop label
+        containers copy themselves row by row (``__deepcopy__`` is their
+        ``copy()``), so only a family's own nested state is walked object
+        by object.  Per-op validity is the family's own
         job: a bad vertex, duplicate insert, absent delete or
         cycle-closing insert raises out of its maintenance call and the
         batch takes the rebuild path, which raises the same

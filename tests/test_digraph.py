@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -97,6 +99,46 @@ class TestDerived:
         clone.add_edge(5, 7)
         assert not small_dag.has_edge(5, 7)
         assert clone.num_edges == small_dag.num_edges + 1
+
+    @pytest.mark.parametrize("clone_of", [DiGraph.copy, copy.deepcopy])
+    def test_copy_contract(self, clone_of):
+        """Equal graph, identical row order, nothing shared, no CSR cache."""
+        from repro.kernels import csr_of
+
+        # Insertion order differs from sorted order in both _out and _in rows,
+        # and a delete leaves a row that re-inserting edges would reorder.
+        graph = DiGraph(5, [(3, 4), (0, 4), (0, 2), (0, 1), (2, 4), (1, 4)])
+        graph.remove_edge(0, 4)
+        graph.add_edge(0, 4)
+        csr_of(graph)
+        clone = clone_of(graph)
+        assert clone == graph and clone.num_edges == graph.num_edges
+        assert clone._out == graph._out == [[2, 1, 4], [4], [4], [4], []]
+        assert clone._in == graph._in and clone._in[4] == [3, 2, 1, 0]
+        assert clone._csr_cache is None and graph._csr_cache is not None
+        for mine, theirs in zip(
+            clone._out + clone._in + clone._out_sets,
+            graph._out + graph._in + graph._out_sets,
+        ):
+            assert mine is not theirs
+        clone.remove_edge(0, 2)
+        graph.add_edge(4, 0)
+        assert graph.has_edge(0, 2) and not clone.has_edge(4, 0)
+        assert (clone.num_edges, graph.num_edges) == (5, 7)
+        assert csr_of(clone) is not csr_of(graph)
+
+    def test_deepcopy_keeps_one_graph_per_object_graph(self):
+        """An index and its wrapper still share *one* graph after deepcopy."""
+        from repro.core.condensed import CondensedIndex
+        from repro.plain.dagger import DaggerIndex
+
+        cyclic = DiGraph(4, [(0, 1), (1, 0), (1, 2), (2, 3)])
+        wrapper = CondensedIndex.build(cyclic, inner=DaggerIndex)
+        assert wrapper.inner.graph is wrapper.condensation.dag
+        clone = copy.deepcopy(wrapper)
+        assert clone.inner.graph is clone.condensation.dag
+        assert clone.inner.graph is not wrapper.inner.graph
+        assert clone.graph is not cyclic and clone.graph == cyclic
 
     def test_equality(self):
         a = DiGraph(2, [(0, 1)])

@@ -8,6 +8,7 @@ labeled (Zou, DLCR) dynamic indexes.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import random
 
@@ -252,3 +253,63 @@ def test_invalid_op_is_refused_by_the_family_and_survived_by_the_service(
         service.apply_updates([op])
     counters = service.metrics_dict()["service"]
     assert (counters["patches"], counters["rebuilds"], service.epoch) == (0, 0, 0)
+
+
+# -- patched copies: what the service's writer does on every batch -----------
+# ``_try_patch`` deep-copies the served index and patches the copy while
+# readers keep querying the original, so the copy must be exact on *its*
+# graph and must share no mutable state with the original.
+def _random_step(rng, index, labeled, insert_only, dag_only):
+    """One seeded insert or delete through the index's maintenance API."""
+    g = index.graph
+    edges = list(g.edges())
+    if not insert_only and edges and rng.random() < 0.4:
+        index.delete_edge(*edges[rng.randrange(len(edges))])
+        return
+    for _attempt in range(80):
+        u, v = rng.randrange(g.num_vertices), rng.randrange(g.num_vertices)
+        extra = (rng.choice(_LABELS),) if labeled else ()
+        if u == v or g.has_edge(u, v, *extra):
+            continue
+        if dag_only and bfs_reachable(g, v, u):
+            continue
+        index.insert_edge(u, v, *extra)
+        return
+
+
+def _assert_exact(index, graph, labeled):
+    n = graph.num_vertices
+    if not labeled:
+        _check_exact(index, graph)
+        return
+    for constraint in ("(a)*", "(b)*", "(a|b)*"):
+        for s in range(n):
+            reach = constrained_descendants(graph, s, constraint)
+            for t in range(n):
+                assert index.query(s, t, constraint) == (t in reach or s == t)
+
+
+@pytest.mark.parametrize(
+    "labeled, name",
+    [(False, n) for n in _DYNAMIC_PLAIN] + [(True, n) for n in _DYNAMIC_LABELED],
+)
+def test_patched_deepcopy_is_exact_and_leaves_the_original_untouched(labeled, name):
+    make = _labeled_graph if labeled else _plain_graph
+    meta = (LABELED if labeled else PLAIN)[name].metadata
+    original = (LABELED if labeled else PLAIN)[name].build(make())
+    clone = copy.deepcopy(original)
+    assert clone.graph is not original.graph
+    rng = random.Random(16)
+    for _step in range(12):
+        _random_step(
+            rng,
+            clone,
+            labeled,
+            insert_only=meta.dynamic == "insert-only",
+            dag_only=meta.input_kind == "DAG",
+        )
+    untouched = make()
+    assert sorted(original.graph.edges()) == sorted(untouched.edges())
+    assert sorted(clone.graph.edges()) != sorted(untouched.edges())
+    _assert_exact(clone, clone.graph, labeled)
+    _assert_exact(original, untouched, labeled)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+
 import pytest
 
 from repro.errors import EdgeError, VertexError
@@ -89,6 +91,30 @@ class TestDerived:
         clone = labeled_graph.copy()
         assert clone.num_edges == labeled_graph.num_edges
         assert clone.labels() == labeled_graph.labels()
+
+    @pytest.mark.parametrize("clone_of", [LabeledDiGraph.copy, copy.deepcopy])
+    def test_copy_contract(self, clone_of):
+        """Same rows in the same order, same label ids, nothing shared."""
+        graph = LabeledDiGraph(4, [(2, 3, "y"), (0, 3, "x"), (0, 1, "y"), (1, 3, "z")])
+        graph.remove_edge(1, 3, "z")  # "z" keeps its id with no edge left
+        clone = clone_of(graph)
+        assert clone._out == graph._out and clone._in == graph._in
+        assert clone._in[3] == [(2, 0), (0, 1)]
+        assert clone.labels() == ["y", "x", "z"]
+        assert clone._label_ids == graph._label_ids
+        assert clone._edge_set == graph._edge_set
+        assert clone.num_edges == graph.num_edges == 3
+        clone.add_edge(3, 0, "new")
+        graph.remove_edge(0, 1, "y")
+        assert not graph.has_edge(3, 0, "new") and graph.num_labels == 3
+        assert clone.has_edge(0, 1, "y") and clone.label_id("new") == 3
+        assert (clone.num_edges, graph.num_edges) == (4, 2)
+
+    def test_deepcopy_keeps_one_graph_per_object_graph(self, labeled_graph):
+        holder = {"index": [labeled_graph], "wrapper": (labeled_graph, "meta")}
+        clone = copy.deepcopy(holder)
+        assert clone["index"][0] is clone["wrapper"][0]
+        assert clone["index"][0] is not labeled_graph
 
     def test_repr(self, labeled_graph):
         assert "LabeledDiGraph" in repr(labeled_graph)

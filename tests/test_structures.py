@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -130,6 +133,27 @@ class TestPrunedLabels:
         assert labels.size_in_entries() == 3
         labels.remove_hop(1)
         assert labels.size_in_entries() == 1
+
+    @pytest.mark.parametrize("clone_of", [TwoHopLabels.copy, copy.deepcopy])
+    def test_copy_contract(self, clone_of):
+        """Equal sets, none shared, inverted-hub cache dropped."""
+        graph = random_dag(12, 25, seed=97)
+        labels = build_pruned_labels(graph, degree_order(graph))
+        reach_from_0 = labels.enumerate_from(0)  # fills the cache
+        clone = clone_of(labels)
+        assert clone.l_in == labels.l_in and clone.l_out == labels.l_out
+        assert clone._inverted is None and labels._inverted is not None
+        for mine, theirs in zip(clone.l_in + clone.l_out, labels.l_in + labels.l_out):
+            assert mine is not theirs
+        for hop in range(12):
+            clone.remove_hop(hop)
+        assert clone.size_in_entries() == 0 and clone.enumerate_from(0) == {0}
+        assert labels.enumerate_from(0) == reach_from_0
+
+    def test_deepcopy_keeps_one_label_set_per_object_graph(self):
+        labels = TwoHopLabels(2)
+        first, second = copy.deepcopy([labels, labels])
+        assert first is second and first is not labels
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(0, 400))
