@@ -228,7 +228,16 @@ class MetricsRegistry:
         self._histograms: dict[str, LatencyHistogram] = {}
 
     def counter(self, name: str) -> Counter:
-        """The counter called ``name``, created on first use."""
+        """The counter called ``name``, created on first use.
+
+        An existing name is returned from one unlocked ``dict.get``:
+        names are never removed or re-typed, so the locked body would
+        return that same object whenever it ran.  Creation, and the
+        counter-vs-histogram check a new name needs, stay locked.
+        """
+        found = self._counters.get(name)
+        if found is not None:
+            return found
         with self._lock:
             if name in self._histograms:
                 raise ValueError(f"{name!r} is already a histogram")
@@ -239,7 +248,11 @@ class MetricsRegistry:
     def histogram(
         self, name: str, buckets: tuple[float, ...] = _DEFAULT_BUCKETS
     ) -> LatencyHistogram:
-        """The histogram called ``name``, created on first use."""
+        """The histogram called ``name``, created on first use (an existing
+        name skips the lock, as in :meth:`counter`)."""
+        found = self._histograms.get(name)
+        if found is not None:
+            return found
         with self._lock:
             if name in self._counters:
                 raise ValueError(f"{name!r} is already a counter")

@@ -67,7 +67,16 @@ class CircuitBreaker:
         one HALF_OPEN trial at a time; its outcome (reported through
         :meth:`record_success` / :meth:`record_failure`) decides whether
         the breaker closes or re-opens.
+
+        A CLOSED breaker answers from one unlocked read of ``_state``:
+        the locked body would return True on that value without writing
+        anything, so the call is serialised at the instant of the read.
+        Every transition out of CLOSED is written under the lock before
+        its caller (``trip``, ``record_failure``) returns, so an
+        ``allow`` that starts afterwards sees it.
         """
+        if self._state == self.CLOSED:
+            return True
         with self._lock:
             if self._state == self.CLOSED:
                 return True
@@ -84,7 +93,17 @@ class CircuitBreaker:
             return True
 
     def record_success(self) -> None:
-        """A protected call completed: reset failures, close the breaker."""
+        """A protected call completed: reset failures, close the breaker.
+
+        Returns on one unlocked read of a zero failure count.  Whenever
+        the lock is free, zero failures implies CLOSED, no probe in
+        flight and no trip reason (``trip`` and ``record_failure`` leave
+        the count >= 1; only this method zeroes it, and it resets the
+        rest with it), so the locked body would write nothing: the call
+        is serialised where that zero was current.
+        """
+        if not self._consecutive_failures:
+            return
         with self._lock:
             if self._state != self.CLOSED:
                 self._state = self.CLOSED

@@ -9,6 +9,10 @@ epoch of the snapshot it was computed against, sharing is safe under
 snapshot isolation: followers receive an answer that was exact at a
 well-defined epoch.
 
+The event exists only once someone waits on it: the first follower of a
+flight creates it, so a flight nobody joins — every flight, under
+uncontended traffic — costs two lock round-trips and one slotted object.
+
 The same idea applies within one explicit batch: `dedupe` collapses a
 request list to its unique keys so a batch is evaluated once per
 distinct query against a single snapshot acquisition.
@@ -30,7 +34,12 @@ class _InFlight:
     __slots__ = ("done", "error", "result")
 
     def __init__(self) -> None:
-        self.done = threading.Event()
+        # Created by the first follower, under the coalescer lock, while
+        # this entry is still registered; the leader reads it under the
+        # same lock as it unregisters the entry.  So every follower that
+        # found the entry waits on an event the leader will set, and a
+        # flight without followers never builds one.
+        self.done: threading.Event | None = None
         self.result: object = None
         self.error: BaseException | None = None
 
@@ -55,14 +64,15 @@ class QueryCoalescer:
             entry = self._inflight.get(key)
             if entry is not None:
                 self._coalesced += 1
-                leader = False
+                done = entry.done
+                if done is None:  # first follower of this flight
+                    done = entry.done = threading.Event()
             else:
-                entry = _InFlight()
-                self._inflight[key] = entry
+                entry = self._inflight[key] = _InFlight()
                 self._led += 1
-                leader = True
-        if not leader:  # follower: wait for the leader's result
-            entry.done.wait()
+                done = None
+        if done is not None:  # follower: wait for the leader's result
+            done.wait()
             if entry.error is not None:
                 raise entry.error
             return entry.result, True  # type: ignore[return-value]
@@ -74,7 +84,9 @@ class QueryCoalescer:
         finally:
             with self._lock:
                 self._inflight.pop(key, None)
-            entry.done.set()
+                done = entry.done
+            if done is not None:
+                done.set()
         return entry.result, False
 
     @property

@@ -207,12 +207,14 @@ class ReachabilityService:
             for route in routes
         }
         self._metrics.counter("service.unknowns")
-        self._metrics.counter("service.batch.requests")
-        self._metrics.counter("service.batch.pairs")
-        self._metrics.counter("service.batch.cache_hits")
-        self._metrics.counter("service.batch.computed")
-        self._metrics.histogram("service.batch.size", BATCH_SIZE_BUCKETS)
-        self._metrics.histogram("service.batch.latency")
+        self._batch_requests = self._metrics.counter("service.batch.requests")
+        self._batch_pairs = self._metrics.counter("service.batch.pairs")
+        self._batch_cache_hits = self._metrics.counter("service.batch.cache_hits")
+        self._batch_computed = self._metrics.counter("service.batch.computed")
+        self._batch_size = self._metrics.histogram(
+            "service.batch.size", BATCH_SIZE_BUCKETS
+        )
+        self._batch_latency = self._metrics.histogram("service.batch.latency")
         self._metrics.counter("service.swaps")
         self._metrics.counter("service.updates_applied")
         self._metrics.counter("service.rebuilds")
@@ -424,14 +426,12 @@ class ReachabilityService:
             cache_hits = sum(results[slot].route == "cache" for slot in back_refs)
             computed = sum(result.route == "plain_index" for result in results)
             span.annotate(cache_hits=cache_hits, computed=computed)
-            self._metrics.counter("service.batch.requests").increment()
-            self._metrics.counter("service.batch.pairs").increment(len(pairs))
-            self._metrics.counter("service.batch.cache_hits").increment(cache_hits)
-            self._metrics.counter("service.batch.computed").increment(computed)
-            self._metrics.histogram("service.batch.size").observe(float(len(pairs)))
-            self._metrics.histogram("service.batch.latency").observe(
-                time.perf_counter() - start
-            )
+            self._batch_requests.increment()
+            self._batch_pairs.increment(len(pairs))
+            self._batch_cache_hits.increment(cache_hits)
+            self._batch_computed.increment(computed)
+            self._batch_size.observe(float(len(pairs)))
+            self._batch_latency.observe(time.perf_counter() - start)
         return [results[slot] for slot in back_refs]
 
     def explain(self, source: int, target: int) -> Explanation:
@@ -476,6 +476,14 @@ class ReachabilityService:
     def _serve(self, key: tuple[int, int, str | None]) -> QueryResult:
         start = time.perf_counter()
         snap = self._snapshot
+        if not TRACER.enabled:
+            # Same steps as below minus the span: no kwargs dict, null
+            # context manager or ``annotate`` call per request.
+            [(answer, route, shared)] = self._read(
+                snap, (key,), self._evaluate_coalesced
+            )
+            self._route_latency[route].observe(time.perf_counter() - start)
+            return QueryResult(answer, snap.epoch, route, bool(shared))
         with TRACER.span(
             "service.query", epoch=snap.epoch, source=key[0], target=key[1]
         ) as span:
@@ -514,20 +522,23 @@ class ReachabilityService:
                 )
         epoch = snap.epoch
         cache = self._cache
-        outcomes: list = [None] * len(keys)
-        misses: list[int] = []
-        todo: list = []
-        for position, key in enumerate(keys):
-            hit = MISS if cache is None else cache.get(key, epoch)
-            if hit is MISS:
-                misses.append(position)
-                todo.append(key)
-            else:
-                outcomes[position] = (bool(hit), "cache", None)
+        outcomes: list = []
+        todo = keys
+        if cache is not None:
+            get = cache.get
+            todo = []
+            for key in keys:
+                hit = get(key, epoch)
+                if hit is MISS:
+                    todo.append(key)
+                    outcomes.append(None)  # filled from ``computed`` below
+                else:
+                    outcomes.append((bool(hit), "cache", None))
         if todo:
             computed = None  # stays None when the index is unavailable
             fresh = False
-            if self._breaker.allow():
+            breaker = self._breaker
+            if breaker.allow():
                 try:
                     computed = evaluate(snap, todo)
                 except DeadlineExceeded:
@@ -541,19 +552,27 @@ class ReachabilityService:
                 except Exception:
                     # The snapshot index misbehaved: count it against the
                     # breaker and degrade to bounded probes, not a traceback.
-                    self._breaker.record_failure()
+                    breaker.record_failure()
                 else:
-                    self._breaker.record_success()
+                    breaker.record_success()
                     fresh = effects and cache is not None
             if computed is None:
                 computed = [
                     (self._degraded_probe(snap, key), "degraded", None)
                     for key in todo
                 ]
-            for position, key, outcome in zip(misses, todo, computed):
-                outcomes[position] = outcome
-                if fresh:
-                    cache.put(key, epoch, outcome[0])
+            if len(todo) == len(keys):  # nothing was cached
+                outcomes = computed
+            else:
+                filled = iter(computed)
+                outcomes = [
+                    next(filled) if outcome is None else outcome
+                    for outcome in outcomes
+                ]
+            if fresh:
+                put = cache.put
+                for key, outcome in zip(todo, computed):
+                    put(key, epoch, outcome[0])
         if effects:
             # Every exact plain answer is offered to the shadow auditor
             # whatever route served it — a poisoned cache or a lying

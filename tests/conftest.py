@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from repro.graphs.digraph import DiGraph
@@ -10,6 +12,17 @@ from repro.graphs.generators import (
     random_dag,
     random_labeled_digraph,
 )
+
+
+@pytest.fixture
+def fast_thread_switching():
+    """Preempt threads every microsecond so races surface; restored after."""
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(previous)
 
 
 @pytest.fixture

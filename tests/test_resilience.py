@@ -185,6 +185,89 @@ class TestCircuitBreaker:
         assert snap["state"] == "closed"
         assert snap["failure_threshold"] == 4
 
+    def test_hammer_one_half_open_trial_in_flight(self, fast_thread_switching):
+        """Never CLOSED, so every admission is a HALF_OPEN trial: at most
+        one may be out at a time, and the unlocked CLOSED read must never
+        admit a second."""
+        breaker = CircuitBreaker(failure_threshold=1, cooldown_s=0.0)
+        breaker.trip("hammer")
+        guard = threading.Lock()
+        in_flight = peak = trials = 0
+
+        def worker() -> None:
+            nonlocal in_flight, peak, trials
+            for _ in range(2000):
+                if not breaker.allow():
+                    continue
+                with guard:
+                    in_flight += 1
+                    trials += 1
+                    peak = max(peak, in_flight)
+                time.sleep(0)  # hold the trial across a thread switch
+                with guard:
+                    in_flight -= 1
+                breaker.record_failure()  # re-opens; cooldown 0 re-arms
+
+        threads = [threading.Thread(target=worker, daemon=True) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60.0)
+            assert not thread.is_alive()
+        assert trials > 8 and peak == 1
+        assert breaker.state == "open"
+
+    def test_hammer_trip_is_seen_by_every_later_allow(self, fast_thread_switching):
+        """Readers spin on the lock-free CLOSED paths while failures and
+        successes interleave; an ``allow()`` that starts after ``trip()``
+        returned is refused until the cooldown, then exactly one trial."""
+        cooldown = 0.25
+        breaker = CircuitBreaker(failure_threshold=10**9, cooldown_s=cooldown)
+        workers = 8
+        allow_only = threading.Event()
+        switched = threading.Barrier(workers + 1)
+        tripped = threading.Event()
+        stop = threading.Event()
+        refused_while_closed = []
+        admitted_after_trip = []  # time.monotonic() of each admission
+
+        def worker(flaky: bool) -> None:
+            while not allow_only.is_set():
+                if not breaker.allow():
+                    refused_while_closed.append(1)
+                if flaky:
+                    breaker.record_failure()  # far below the threshold
+                breaker.record_success()
+            switched.wait(30.0)
+            while not stop.is_set():
+                after_trip = tripped.is_set()
+                if breaker.allow() and after_trip:
+                    admitted_after_trip.append(time.monotonic())
+
+        threads = [
+            threading.Thread(target=worker, args=(slot % 2 == 0,), daemon=True)
+            for slot in range(workers)
+        ]
+        for thread in threads:
+            thread.start()
+        time.sleep(0.1)
+        allow_only.set()
+        switched.wait(30.0)  # nobody reports an outcome from here on
+        breaker.record_success()
+        assert breaker.snapshot()["consecutive_failures"] == 0
+        breaker.trip("hammer")
+        tripped.set()
+        time.sleep(cooldown + 0.25)
+        stop.set()
+        for thread in threads:
+            thread.join(30.0)
+            assert not thread.is_alive()
+        assert refused_while_closed == []
+        assert len(admitted_after_trip) == 1  # the single half-open trial
+        assert admitted_after_trip[0] >= breaker._opened_at + cooldown
+        breaker.record_success()
+        assert breaker.state == "closed" and breaker.allow()
+
 
 # -- retry ---------------------------------------------------------------
 class TestRetry:

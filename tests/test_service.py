@@ -9,6 +9,7 @@ exceptions, and a cache that never serves a stale epoch.
 from __future__ import annotations
 
 import threading
+import time
 
 import pytest
 
@@ -74,6 +75,61 @@ class TestMetrics:
         registry.counter("x")
         with pytest.raises(ValueError):
             registry.histogram("x")
+        registry.histogram("y")
+        with pytest.raises(ValueError):
+            registry.counter("y")
+
+    def test_registry_lookup_hammer(self, fast_thread_switching, monkeypatch):
+        """Lookups of existing names skip the registry lock: racing the
+        creation of those names, every thread must still get the one
+        object per name, and no increment may land on a lost duplicate."""
+        import repro.obs.metrics as metrics_module
+
+        def yielding(factory):
+            def build(*args):
+                time.sleep(0)  # widen the window between miss and insert
+                return factory(*args)
+
+            return build
+
+        monkeypatch.setattr(metrics_module, "Counter", yielding(metrics_module.Counter))
+        monkeypatch.setattr(
+            metrics_module, "LatencyHistogram", yielding(LatencyHistogram)
+        )
+        registry = MetricsRegistry()
+        threads_n, names = 8, 400
+        start = threading.Barrier(threads_n)
+        seen: list[dict[str, object]] = [{} for _ in range(threads_n)]
+
+        def worker(slot: int) -> None:
+            start.wait(30.0)
+            for number in range(names):  # same order: every creation is raced
+                name = f"hammer.{number}"
+                if number % 2:
+                    seen[slot][name] = registry.histogram(name)
+                else:
+                    seen[slot][name] = registry.counter(name)
+                    seen[slot][name].increment()
+
+        threads = [
+            threading.Thread(target=worker, args=(slot,), daemon=True)
+            for slot in range(threads_n)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60.0)
+            assert not thread.is_alive()
+        assert len(seen[0]) == names
+        for name, metric in seen[0].items():
+            assert all(view[name] is metric for view in seen)
+        assert registry.counter_values() == {
+            f"hammer.{number}": threads_n for number in range(0, names, 2)
+        }
+        with pytest.raises(ValueError):
+            registry.counter("hammer.1")
+        with pytest.raises(ValueError):
+            registry.histogram("hammer.0")
 
 
 class TestResultCache:
@@ -163,6 +219,99 @@ class TestBatching:
             coalescer.run("k", boom)
         # The failed flight is cleared; the key is usable again.
         assert coalescer.run("k", lambda: 1) == (1, False)
+
+    def test_coalescer_uncontended_builds_no_event(self, monkeypatch):
+        built = []
+        real_event = threading.Event
+
+        def counting_event():
+            built.append(1)
+            return real_event()
+
+        monkeypatch.setattr(
+            "repro.service.batching.threading.Event", counting_event
+        )
+        coalescer = QueryCoalescer()
+        for call in range(100):
+            assert coalescer.run(call % 3, lambda: call) == (call, False)
+        assert built == []
+        assert coalescer.led == 100 and coalescer.coalesced == 0
+        assert not coalescer._inflight
+
+    def test_coalescer_followers_receive_leader_error(self):
+        coalescer = QueryCoalescer()
+        entered = threading.Event()
+        release = threading.Event()
+        outcomes = []
+
+        def boom():
+            entered.set()
+            release.wait(5.0)
+            raise RuntimeError("nope")
+
+        def call(evaluate):
+            try:
+                outcomes.append(coalescer.run("k", evaluate))
+            except RuntimeError as exc:
+                outcomes.append(exc)
+
+        threads = [threading.Thread(target=call, args=(boom,))]
+        threads[0].start()
+        assert entered.wait(5.0)
+        for _ in range(2):
+            threads.append(threading.Thread(target=call, args=(lambda: "other",)))
+            threads[-1].start()
+        deadline = time.monotonic() + 5.0
+        while coalescer.coalesced < 2 and time.monotonic() < deadline:
+            time.sleep(0.001)
+        release.set()
+        for thread in threads:
+            thread.join(5.0)
+            assert not thread.is_alive()
+        # One flight, one exception object, delivered to all three callers.
+        assert coalescer.led == 1 and coalescer.coalesced == 2
+        assert len(outcomes) == 3
+        assert isinstance(outcomes[0], RuntimeError)
+        assert all(outcome is outcomes[0] for outcome in outcomes)
+        assert coalescer.run("k", lambda: 1) == (1, False)
+
+    def test_coalescer_hammer(self, fast_thread_switching):
+        """8 threads x 2000 runs over 4 keys: a follower that found a flight
+        is always woken, with a value evaluated for its own key."""
+        coalescer = QueryCoalescer()
+        threads_n, runs, keys = 8, 2000, 4
+        evaluated = []  # list.append is atomic
+        wrong: list = []
+
+        def worker(offset: int) -> None:
+            for call in range(runs):
+                key = (offset + call) % keys
+
+                def evaluate(key=key):
+                    time.sleep(0)  # yield mid-flight so followers pile on
+                    evaluated.append(key)
+                    return key
+
+                value, _shared = coalescer.run(key, evaluate)
+                if value != key:
+                    wrong.append((key, value))
+
+        threads = [
+            # daemon: a follower nobody wakes must fail the test, not hang it
+            threading.Thread(target=worker, args=(offset,), daemon=True)
+            for offset in range(threads_n)
+        ]
+        for thread in threads:
+            thread.start()
+        deadline = time.monotonic() + 60.0
+        for thread in threads:
+            thread.join(max(0.0, deadline - time.monotonic()))
+            assert not thread.is_alive()
+        assert wrong == []
+        assert len(evaluated) == coalescer.led
+        assert coalescer.led + coalescer.coalesced == threads_n * runs
+        assert coalescer.coalesced > 0  # the hammer did contend
+        assert not coalescer._inflight
 
 
 class TestEngineBasics:
