@@ -4,7 +4,10 @@ The store follows Zanzibar's consistency recipe scaled to this library:
 every namespace serves reads from an immutable *snapshot* — the compiled
 labeled graph, its plain projection, and a reachability index built by a
 registered family — and every write produces a fresh snapshot at the
-next *epoch*.  A :class:`Zookie` is the causal token for that epoch:
+next *epoch*: the served one patched by the write's delta when the
+family can maintain it, the namespace recompiled otherwise
+(:meth:`AuthzStore.write`).  A :class:`Zookie` is the causal token for
+that epoch:
 writes return one, reads accept one as ``at_least``, and a read whose
 published snapshot is older than the token's epoch raises
 :class:`~repro.errors.StaleZookieError` rather than silently serving
@@ -26,6 +29,7 @@ from dataclasses import dataclass, field
 
 from repro.core.base import ReachabilityIndex
 from repro.core.condensed import build_plain
+from repro.core.patch import patched_copy
 from repro.core.registry import plain_index
 from repro.errors import (
     InvalidZookieError,
@@ -49,6 +53,17 @@ __all__ = [
 
 _NAMESPACE_RE = re.compile(r"^[A-Za-z0-9_\-]+$")
 _ZOOKIE_SALT = b"repro-authz-zookie-v1"
+
+#: A write whose effective delta exceeds this fraction of the namespace's
+#: tuple count recompiles instead of patching: a patch pays ~20 µs per op
+#: on top of the structural copies, a recompile ~10 µs per *tuple*, so a
+#: 7k-tuple bulk load must not become 7k patches.  Measured crossover, one
+#: write of k mixed grants/revokes on ``authz_tuples`` namespaces of N
+#: tuples under TC (patch ms / recompile ms, medians of 7): N = 7 351 —
+#: 0.61 at k/N = 0.14, 0.69 at 0.28, 1.20 at 0.56; N = 436 — 0.98 at 0.29;
+#: N = 1 829 — 0.74 at 0.28, 1.38 at 0.56; N = 14 739 — 1.01 at 0.28.  A
+#: property of the input, not an option.
+BULK_DELTA_FRACTION = 0.25
 
 
 def _digest(namespace: str, epoch: int) -> str:
@@ -143,6 +158,11 @@ class _NamespaceState:
     epoch: int = 0
 
 
+def _joined(graph: LabeledDiGraph, source: int, target: int) -> bool:
+    """Whether any relation joins the pair (one plain edge, however many)."""
+    return any(v == target for v, _label in graph.out_edges(source))
+
+
 class AuthzStore:
     """Per-namespace tuple sets compiled into reachability snapshots.
 
@@ -224,6 +244,34 @@ class AuthzStore:
         idempotent no-ops; the epoch advances regardless, so the zookie
         always certifies "my request has been incorporated".
 
+        The next snapshot is a *patch* of the served one whenever it can
+        be (see :meth:`_patch`): copies of the served graph, index and
+        interning maps take the effective delta through the family's
+        maintenance API, at a cost that follows the delta, not the
+        namespace.  The write recompiles the namespace from its tuple
+        set instead — the fallback, and the only path for a static
+        family — for exactly these reasons (the ``reason`` of the
+        ``authz.write`` span, counted under ``authz.recompiles``):
+
+        ``unserved``
+            the namespace has no served snapshot to patch;
+        ``bulk``
+            the delta is large against the namespace
+            (:data:`BULK_DELTA_FRACTION`);
+        ``orphan``
+            a revoke leaves an entity with no tuple: it must read as
+            :class:`~repro.errors.UnknownEntityError`, which only a
+            recompile's interning does;
+        ``static`` / ``condensed``
+            the family is not dynamic (or is insert-only and the delta
+            revokes), or the served index is a
+            :class:`~repro.core.condensed.CondensedIndex`;
+        ``refused``
+            the family refused an op (TC: a group grant that closes a
+            cycle, a revoke inside one; DAGGER/TOL: a new entity);
+        ``audit``
+            the patched index disagreed with BFS on a sampled pair.
+
         With a WAL attached the write is staged, appended to the log,
         and only then published — a failed or torn append (including a
         chaos-injected one) leaves the served state untouched and the
@@ -234,13 +282,30 @@ class AuthzStore:
         registry = global_registry()
         wal = self._wal
         gate = wal.admitted() if wal is not None else nullcontext()
-        with gate, self._lock:
-            state = self._states.setdefault(namespace, _NamespaceState())
+        with gate, self._lock, TRACER.span("authz.write", namespace=namespace) as span:
+            # Registered only at publish: a failed append must not leave
+            # a namespace no client was acknowledged on.
+            state = self._states.get(namespace) or _NamespaceState()
+            revoked = set(deletes)
+            added = set(writes) - revoked - state.tuples
+            removed = revoked & state.tuples
             tuples = set(state.tuples)
-            tuples.update(writes)
-            tuples.difference_update(deletes)
+            tuples.update(added)
+            tuples.difference_update(removed)
             staged = _NamespaceState(tuples=tuples, epoch=state.epoch + 1)
-            snapshot = self._compile(namespace, staged)
+            served = self._snapshots.get(namespace)
+            delta = len(added) + len(removed)
+            if served is None:
+                snapshot, reason = None, "unserved"
+            elif delta > BULK_DELTA_FRACTION * len(state.tuples):
+                snapshot, reason = None, "bulk"
+            else:
+                snapshot, reason = self._patch(served, staged, added, removed)
+            if snapshot is None:
+                snapshot = self._compile(namespace, staged)
+            span.annotate(
+                route="recompile" if reason else "patch", reason=reason, delta=delta
+            )
             if wal is not None:
                 self._wal_applied_lsn = wal.append(
                     "authz",
@@ -254,6 +319,7 @@ class AuthzStore:
             self._states[namespace] = staged
             self._snapshots[namespace] = snapshot
         registry.counter("authz.writes").increment()
+        registry.counter("authz.recompiles" if reason else "authz.patches").increment()
         registry.counter("authz.tuples_applied").increment(
             len(writes) + len(deletes)
         )
@@ -276,6 +342,82 @@ class AuthzStore:
             else:
                 raise ValueError(f"unknown tuple op kind {op.kind!r}")
         return zookies
+
+    def _patch(
+        self,
+        served: AuthzSnapshot,
+        staged: _NamespaceState,
+        added: set[RelationTuple],
+        removed: set[RelationTuple],
+    ) -> tuple[AuthzSnapshot | None, str | None]:
+        """``(served patched by the effective delta, None)`` or ``(None, reason)``.
+
+        ``served`` is never touched — every container the next snapshot
+        owns is a structural copy, so readers stay lock-free.  A new
+        entity is interned at the end of the id space, which is why a
+        patched snapshot's vertex ids differ from a recompile's
+        sorted-first-seen ones; ids are internal (answers are names).
+        Two relations between one pair are one plain edge: the index
+        sees an insert only when the pair had no edge, a delete only
+        when no other relation still joins it.
+        """
+        graph = served.graph.copy()
+        entity_ids = dict(served.entity_ids)
+        entities = list(served.entities)
+        inserts: list[tuple[int, int]] = []
+        unlinks: list[tuple[int, int]] = []
+        for t in removed:
+            pair = (entity_ids[t.subject], entity_ids[t.object])
+            graph.remove_edge(*pair, t.relation)
+            if not _joined(graph, *pair):
+                unlinks.append(pair)
+        for t in added:
+            for name in (t.subject, t.object):
+                if name not in entity_ids:
+                    entity_ids[name] = graph.add_vertex()
+                    entities.append(name)
+            pair = (entity_ids[t.subject], entity_ids[t.object])
+            if not _joined(graph, *pair):
+                inserts.append(pair)
+            graph.add_edge(*pair, t.relation)
+        if not all(
+            graph.degree(entity_ids[name])
+            for t in removed
+            for name in (t.subject, t.object)
+        ):
+            return None, "orphan"
+
+        def apply(index: ReachabilityIndex) -> None:
+            for _ in range(len(entities) - len(served.entities)):
+                index.add_vertex()
+            for pair in unlinks:
+                index.delete_edge(*pair)
+            for pair in inserts:
+                index.insert_edge(*pair)
+
+        index, reason = patched_copy(
+            served.index,
+            apply,
+            deletes=bool(unlinks),
+            epoch=staged.epoch,
+            metrics=global_registry(),
+            prefix="authz",
+        )
+        if index is None:
+            return None, reason
+        return (
+            AuthzSnapshot(
+                namespace=served.namespace,
+                epoch=staged.epoch,
+                tuples=frozenset(staged.tuples),
+                graph=graph,
+                plain=index.graph,
+                index=index,
+                entity_ids=entity_ids,
+                entities=entities,
+            ),
+            None,
+        )
 
     def _compile(self, namespace: str, state: _NamespaceState) -> AuthzSnapshot:
         graph, entity_ids, entities = compile_tuples(sorted(state.tuples))

@@ -853,6 +853,12 @@ class ReachabilityIndex(_IndexBase):
             f"{self.metadata.name} does not support edge deletion"
         )
 
+    def add_vertex(self) -> int:
+        """Append an isolated vertex to the indexed graph; returns its id."""
+        raise UnsupportedOperationError(
+            f"{self.metadata.name} does not support vertex insertion"
+        )
+
     # -- helpers ----------------------------------------------------------
     def _check_vertex(self, vertex: int) -> None:
         n = self._graph.num_vertices

@@ -28,9 +28,6 @@ dispatch decision the GDBMS planner makes is the service's routing brain.
 
 from __future__ import annotations
 
-import copy
-import logging
-import random
 import threading
 import time
 from collections.abc import Sequence
@@ -44,16 +41,11 @@ from repro.core.base import (
     ReachabilityIndex,
     TriState,
 )
-from repro.core.condensed import CondensedIndex, build_plain
+from repro.core.condensed import build_plain
+from repro.core.patch import AUDIT_PAIRS, patched_copy
 from repro.core.registry import labeled_index as labeled_index_cls
 from repro.core.registry import plain_index as plain_index_cls
-from repro.errors import (
-    DeadlineExceeded,
-    GraphError,
-    QueryError,
-    ServiceError,
-    UnsupportedOperationError,
-)
+from repro.errors import DeadlineExceeded, QueryError, ServiceError
 from repro.graphs.digraph import DiGraph
 from repro.graphs.labeled import LabeledDiGraph
 from repro.obs.metrics import MetricsRegistry, global_registry
@@ -62,12 +54,9 @@ from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.chaos import chaos_point
 from repro.service.batching import QueryCoalescer, dedupe
 from repro.service.cache import MISS, ResultCache
-from repro.traversal.online import bfs_reachable
 from repro.traversal.regex import classify_constraint
 from repro.traversal.rpq import rpq_reachable
 from repro.workloads.updates import EdgeOp, LabeledEdgeOp, apply_op_rows
-
-_LOG = logging.getLogger("repro.service.engine")
 
 __all__ = [
     "DEGRADED_ROUTES",
@@ -170,7 +159,7 @@ class ReachabilityService:
         metrics: MetricsRegistry | None = None,
         breaker_threshold: int = 5,
         breaker_cooldown_s: float = 5.0,
-        patch_audit_pairs: int = 8,
+        patch_audit_pairs: int = AUDIT_PAIRS,
     ) -> None:
         if rebuild not in ("auto", "always"):
             raise ServiceError(f"rebuild must be 'auto' or 'always', got {rebuild!r}")
@@ -786,95 +775,27 @@ class ReachabilityService:
         """Incrementally patch a deep copy of the dynamic index, or None.
 
         The patched index is the constrained one in labeled mode, the
-        plain one otherwise.  Every rejection that can be decided
-        cheaply — rebuild policy, non-dynamic family (§3.2's Table 1
-        "dynamic" column), unsupported op kinds — happens *before* the
-        ``copy.deepcopy``, which is structural: the graph and 2-hop label
-        containers copy themselves row by row (``__deepcopy__`` is their
-        ``copy()``), so only a family's own nested state is walked object
-        by object.  Per-op validity is the family's own
-        job: a bad vertex, duplicate insert, absent delete or
-        cycle-closing insert raises out of its maintenance call and the
-        batch takes the rebuild path, which raises the same
+        plain one otherwise; :func:`repro.core.patch.patched_copy` is
+        the mechanism (cheap rejections, structural ``copy.deepcopy``,
+        the family's own refusals, the sampled oracle audit), shared
+        with :class:`repro.authz.AuthzStore`.  ``None`` sends the batch
+        down the rebuild path, which raises the same
         :class:`~repro.errors.GraphError` a caller would have seen (or
-        condenses).  A successful patch is then differentially audited
-        against the BFS/RPQ oracle on sampled pairs; any mismatch
-        discards the patch (counted, logged) and falls back to a full
-        rebuild, so a buggy incremental maintenance path can never serve
-        a wrong answer.
+        condenses).
         """
-        index = snap.labeled if self._labeled_mode else snap.plain
-        if (
-            self._rebuild_policy == "always"
-            or index is None
-            or isinstance(index, CondensedIndex)
-        ):
+        if self._rebuild_policy == "always":
             return None
-        dynamic = index.metadata.dynamic
-        if dynamic == "no":
-            return None
-        if dynamic == "insert-only" and any(row[0] != "insert" for row in rows):
-            return None
-        index = copy.deepcopy(index)
-        try:
-            apply_op_rows(rows, index.insert_edge, index.delete_edge)
-        except (UnsupportedOperationError, GraphError):
-            return None  # the family refused an op; the rebuild path decides
-        if not self._audit_patched(index, snap.epoch + 1, labeled=self._labeled_mode):
-            return None
-        return index
-
-    def _audit_patched(self, index, epoch: int, labeled: bool) -> bool:
-        """Differentially probe a patched index against the BFS oracle.
-
-        ``patch_audit_pairs`` seeded random pairs (0 disables); any
-        disagreement fails the audit, which the patch paths convert into
-        a counted, logged full rebuild — never a user-visible error.
-        """
-        pairs = self._patch_audit_pairs
-        if not pairs:
-            return True
-        graph = index.graph
-        n = graph.num_vertices
-        if n == 0:
-            return True
-        rng = random.Random(f"patch-audit:{epoch}:{n}:{graph.num_edges}")
-        labels = sorted(graph.labels()) if labeled else ()
-        if labeled and not labels:
-            return True
-        ok = True
-        for _ in range(pairs):
-            source = rng.randrange(n)
-            target = rng.randrange(n)
-            if labeled:
-                # Sample an alternation constraint (l1|l2|…)* — the shape
-                # every §4.1 labeled index answers — over 1-2 graph labels.
-                chosen = rng.sample(labels, k=min(len(labels), rng.randint(1, 2)))
-                _route, node = classify_constraint(
-                    "(" + "|".join(f'"{label}"' for label in chosen) + ")*"
-                )
-                ok = bool(index.query(source, target, node)) == rpq_reachable(
-                    graph, source, target, node
-                )
-            else:
-                ok = bool(index.query(source, target)) == bfs_reachable(
-                    graph, source, target
-                )
-            if not ok:
-                break
-        if ok:
-            self._metrics.counter("service.patch_audit.passed").increment()
-            return True
-        self._metrics.counter("service.patch_audit.failed").increment()
-        _LOG.warning(
-            "post-patch audit failed for %s at epoch %d (pair %d->%d); "
-            "discarding the patch and rebuilding",
-            type(index).__name__,
-            epoch,
-            source,
-            target,
+        patched, _reason = patched_copy(
+            snap.labeled if self._labeled_mode else snap.plain,
+            lambda index: apply_op_rows(rows, index.insert_edge, index.delete_edge),
+            deletes=any(row[0] != "insert" for row in rows),
+            epoch=snap.epoch + 1,
+            metrics=self._metrics,
+            prefix="service",
+            audit_pairs=self._patch_audit_pairs,
+            labeled=self._labeled_mode,
         )
-        return False
+        return patched
 
     # -- observability ---------------------------------------------------
     def metrics_dict(self) -> dict[str, object]:

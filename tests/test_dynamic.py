@@ -2,8 +2,8 @@
 
 Randomised insert/delete streams are applied through the index API and
 the full reachability relation is re-checked against BFS after every
-step — for plain (TOL, U2-hop, HOPI, Path-tree, IP, DAGGER, DBL) and
-labeled (Zou, DLCR) dynamic indexes.
+step — for plain (TOL, U2-hop, HOPI, Path-tree, IP, DAGGER, DBL, and TC
+over a fixed SCC partition) and labeled (Zou, DLCR) dynamic indexes.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import random
 import pytest
 
 from repro.core.registry import all_labeled_indexes, all_plain_indexes
-from repro.errors import NotADAGError, UnsupportedOperationError
+from repro.errors import GraphError, NotADAGError, UnsupportedOperationError
 from repro.graphs.generators import gnp_digraph, random_dag, random_labeled_digraph
 from repro.traversal.online import bfs_reachable
 from repro.traversal.rpq import constrained_descendants
@@ -91,6 +91,61 @@ def test_dbl_supports_insertions_only():
         _check_exact(index, g)
     with pytest.raises(UnsupportedOperationError):
         index.delete_edge(*next(iter(g.edges())))
+
+
+def _tc_state(index):
+    return sorted(index.graph.edges()), list(index._scc_of), list(index._closure)
+
+
+def test_tc_tracks_general_graphs_and_refuses_without_mutating():
+    """TC is dynamic over the SCC partition of its build: on random
+    *general* graphs every accepted op keeps probes and both enumerations
+    equal to BFS, and every refused one (partition-changing, duplicate,
+    absent, out of range) leaves graph and index exactly as they were."""
+    ops = refusals = 0
+    for seed in range(20):
+        rng = random.Random(seed)
+        graph = gnp_digraph(rng.randint(3, 10), rng.choice([0.05, 0.15, 0.3]), seed=seed)
+        index = PLAIN["TC"].build(graph)
+        g = index.graph
+        for _step in range(300):
+            n = g.num_vertices
+            before = _tc_state(index)
+            roll = rng.random()
+            edges = list(g.edges())
+            try:
+                if roll < 0.05 and n < 14:
+                    assert index.add_vertex() == n
+                elif roll < 0.55:
+                    index.insert_edge(rng.randrange(-1, n + 1), rng.randrange(-1, n + 1))
+                elif edges and rng.random() < 0.9:
+                    index.delete_edge(*rng.choice(edges))
+                else:
+                    index.delete_edge(rng.randrange(-1, n + 1), rng.randrange(-1, n + 1))
+            except (GraphError, UnsupportedOperationError):
+                refusals += 1
+                assert _tc_state(index) == before
+            ops += 1
+            n = g.num_vertices
+            reach = [{t for t in range(n) if bfs_reachable(g, s, t)} for s in range(n)]
+            for s in range(n):
+                assert index.reachable_from(s) == reach[s], (seed, _step, s)
+                assert index.reaching_to(s) == {t for t in range(n) if s in reach[t]}
+                for t in range(n):
+                    assert index.query(s, t) == (t in reach[s]), (seed, _step, s, t)
+    assert ops >= 5000 and refusals > 500
+
+
+def test_tc_deepcopy_carries_the_scc_members_without_sharing_growth():
+    original = PLAIN["TC"].build(gnp_digraph(9, 0.2, seed=3))
+    original.reachable_from(0)  # materialises the lazy SCC member lists
+    before = _tc_state(original), [list(row) for row in original._scc_members()]
+    clone = copy.deepcopy(original)
+    assert "_members" in clone.__dict__
+    fresh = clone.add_vertex()
+    clone.insert_edge(fresh, 0)
+    assert clone.reachable_from(fresh) == original.reachable_from(0) | {fresh}
+    assert (_tc_state(original), original._scc_members()) == before
 
 
 @pytest.mark.parametrize("name", ["TOL", "IP", "DAGGER", "Path-tree"])
@@ -255,6 +310,37 @@ def test_invalid_op_is_refused_by_the_family_and_survived_by_the_service(
     assert (counters["patches"], counters["rebuilds"], service.epoch) == (0, 0, 0)
 
 
+def test_tc_service_patches_within_the_partition_and_rebuilds_across_it():
+    """TC takes General input, so a cycle is legal on the graph; the family
+    refuses only because the op changes its SCC partition, and the service
+    turns that into a counted rebuild of a bare (uncondensed) TC."""
+    from repro.core.condensed import CondensedIndex
+    from repro.service import ReachabilityService
+    from repro.workloads.updates import EdgeOp
+
+    graph = _plain_graph()
+    _kind, s, t = _invalid_op(graph, "cycle", labeled=False)
+    u, v = next(iter(graph.edges()))
+    service = ReachabilityService(graph, index="TC")
+
+    def routes():
+        counters = service.metrics_dict()["service"]
+        return counters["patches"], counters["rebuilds"]
+
+    service.apply_updates([EdgeOp("delete", u, v)])
+    service.apply_updates([EdgeOp("insert", u, v)])
+    assert routes() == (2, 0)
+    service.apply_updates([EdgeOp("insert", s, t)])  # merges SCCs
+    assert routes() == (2, 1)
+    assert service.reach(s, t) and service.reach(t, s)
+    service.apply_updates([EdgeOp("delete", s, t)])  # inside one: could split it
+    assert routes() == (2, 2)
+    snap = service.acquire()
+    assert not isinstance(snap.plain, CondensedIndex)
+    _check_exact(snap.plain, snap.graph)
+    assert sorted(snap.graph.edges()) == sorted(_plain_graph().edges())
+
+
 # -- patched copies: what the service's writer does on every batch -----------
 # ``_try_patch`` deep-copies the served index and patches the copy while
 # readers keep querying the original, so the copy must be exact on *its*
@@ -275,6 +361,21 @@ def _random_step(rng, index, labeled, insert_only, dag_only):
             continue
         index.insert_edge(u, v, *extra)
         return
+
+
+def _accepted_step(rng, index, labeled, **kinds):
+    """:func:`_random_step`, drawn again while the family refuses.
+
+    A family may refuse a legal op it cannot maintain (TC: one that
+    changes the SCC partition); the refusal must leave the index exact.
+    """
+    for _attempt in range(80):
+        edges = list(index.graph.edges())
+        try:
+            return _random_step(rng, index, labeled, **kinds)
+        except UnsupportedOperationError:
+            assert list(index.graph.edges()) == edges
+            _assert_exact(index, index.graph, labeled)
 
 
 def _assert_exact(index, graph, labeled):
@@ -301,7 +402,7 @@ def test_patched_deepcopy_is_exact_and_leaves_the_original_untouched(labeled, na
     assert clone.graph is not original.graph
     rng = random.Random(16)
     for _step in range(12):
-        _random_step(
+        _accepted_step(
             rng,
             clone,
             labeled,

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, precondition, rule
 
 from repro.core.registry import plain_index
-from repro.graphs.generators import random_dag
+from repro.errors import UnsupportedOperationError
+from repro.graphs.generators import gnp_digraph, random_dag
 from repro.traversal.online import bfs_reachable
 
 N = 14
@@ -86,6 +87,54 @@ TestIPMachine.settings = _SETTINGS
 
 TestDAGGERMachine = _machine_for("DAGGER", dag=True).TestCase
 TestDAGGERMachine.settings = _SETTINGS
+
+
+class _TCMachine(RuleBasedStateMachine):
+    """TC over a *cyclic* start graph: dynamic within the SCC partition of
+    its build, so a partition-changing op is refused — and must leave the
+    index answering for the unchanged graph — while the graph may grow."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.index = plain_index("TC").build(gnp_digraph(N, 0.08, seed=9))
+        self.graph = self.index.graph
+
+    def _attempt(self, op, u: int, v: int) -> None:
+        edges = sorted(self.graph.edges())
+        try:
+            op(u, v)
+        except UnsupportedOperationError:
+            assert sorted(self.graph.edges()) == edges
+
+    @rule(u=st.integers(0, 10_000), v=st.integers(0, 10_000))
+    def insert(self, u: int, v: int) -> None:
+        n = self.graph.num_vertices
+        if not self.graph.has_edge(u % n, v % n):
+            self._attempt(self.index.insert_edge, u % n, v % n)
+
+    @precondition(lambda self: self.graph.num_edges > 0)
+    @rule(pick=st.integers(0, 10_000))
+    def delete(self, pick: int) -> None:
+        edges = list(self.graph.edges())
+        self._attempt(self.index.delete_edge, *edges[pick % len(edges)])
+
+    @precondition(lambda self: self.graph.num_vertices < N + 4)
+    @rule()
+    def add_vertex(self) -> None:
+        assert self.index.add_vertex() == self.graph.num_vertices - 1
+
+    @rule()
+    def audit_all_pairs(self) -> None:
+        n = self.graph.num_vertices
+        for s in range(n):
+            reach = {t for t in range(n) if bfs_reachable(self.graph, s, t)}
+            assert self.index.reachable_from(s) == reach
+            for t in range(n):
+                assert self.index.query(s, t) == (t in reach)
+
+
+TestTCMachine = _TCMachine.TestCase
+TestTCMachine.settings = _SETTINGS
 
 
 class _DLCRMachine(RuleBasedStateMachine):
