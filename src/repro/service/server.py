@@ -1,9 +1,17 @@
 """A stdlib JSON-over-HTTP front door for the reachability service.
 
-``ThreadingHTTPServer`` gives one thread per connection, which is
-exactly the concurrency shape the engine is built for: every request
-thread is a lock-free snapshot reader, and ``POST /update`` funnels into
-the engine's single-writer path.
+``ThreadingHTTPServer`` gives one thread per *connection*, and a
+connection is a loop: the server speaks HTTP/1.1 keep-alive, so a client
+that reuses its socket pays the connect, the accept and the thread spawn
+once, not around every 8 µs ``reach_ex``.  Every request thread is a
+lock-free snapshot reader, and ``POST /update`` funnels into the
+engine's single-writer path.  The loop is framed exactly — every
+response carries ``Content-Length`` and is one ``write``; a response
+sent while the request's declared body is unread, any response while
+draining and every protocol-level refusal say ``Connection: close`` and
+end the connection — and parses each request once (docs/SERVICE.md,
+"Connections").  Admission counts *requests*: an idle connection holds a
+thread, never a slot.
 
 Routes
 ------
@@ -13,9 +21,10 @@ Routes
     restart-deciding probes here.
 ``GET /readyz``
     Readiness: 200 with ``{"status": "ok", "epoch", "index",
-    "index_params", "mode", "backend", "uptime_s", "in_flight"}``
-    while accepting traffic; 503 with ``"status": "draining"`` once a
-    drain began.  Point load-balancer membership probes here.
+    "index_params", "mode", "backend", "uptime_s", "in_flight",
+    "open_connections"}`` while accepting traffic; 503 with
+    ``"status": "draining"`` once a drain began.  Point load-balancer
+    membership probes here.
 ``GET /reach?source=S&target=T``
     Plain reachability; answer plus epoch/route provenance.
 ``GET /lreach?source=S&target=T&constraint=C``
@@ -87,19 +96,26 @@ the engine answers ``UNKNOWN`` (``"reachable": null``, route
 ``service.handler`` is a chaos injection point, fired at dispatch.  Any
 unexpected exception becomes a JSON ``500`` — never a raw traceback on
 the wire.  :meth:`ServiceHTTPServer.drain` implements graceful
-shutdown: stop admitting, wait out in-flight requests, stop serving.
+shutdown: stop admitting, wait out in-flight requests, stop serving,
+hang up on the idle connections that remain.
 
-Errors are JSON too: 400 for malformed requests, 404 for unknown paths,
-503 (with ``Retry-After``) when shedding.
+Errors are JSON too: 400 for malformed requests (an unusable
+``Content-Length`` included), 404 for unknown paths, 408 for a body that
+never arrives, 411 for ``Transfer-Encoding``, 503 (with ``Retry-After``)
+when shedding — and so are the protocol-level refusals the stdlib would
+render as HTML: a bad request line or header block (400), 414, 431, an
+unsupported method (501), HTTP/2 (505).
 """
 
 from __future__ import annotations
 
 import json
+import re
+import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from urllib.parse import parse_qs, urlsplit
+from urllib.parse import parse_qs
 
 from repro import accel
 from repro.advisor import advise
@@ -112,6 +128,7 @@ from repro.errors import (
     ReproError,
     ServiceOverloadedError,
 )
+from repro.obs.metrics import global_registry
 from repro.obs.tracer import TRACER, span_to_dict
 from repro.resilience.chaos import chaos_point
 from repro.resilience.deadline import deadline_scope
@@ -127,6 +144,8 @@ __all__ = ["ServiceHTTPServer", "serve"]
 #: health probes, scrapers and the ops dashboard are how an operator
 #: *sees* the saturation).
 UNGATED_PATHS = ("/healthz", "/readyz", "/metrics", "/slo")
+
+_HTTP_VERSION = re.compile(r"HTTP/(\d{1,10})\.(\d{1,10})", re.ASCII)
 
 
 class ServiceHTTPServer(ThreadingHTTPServer):
@@ -156,11 +175,29 @@ class ServiceHTTPServer(ThreadingHTTPServer):
         self.auditor = auditor
         self.authz = authz
         self.started_at = time.monotonic()
+        #: Accepted sockets whose handler loop has not finished.
+        self._connections: set[socket.socket] = set()
+        self._connections_lock = threading.Lock()
+        #: ``(second, "Server: ...\r\nDate: ...\r\n")``.  Handler threads
+        #: replace the tuple whole, so a reader never pairs one second
+        #: with another second's text.
+        self._head_stamp: tuple[int, str] = (0, "")
 
     @property
     def uptime_s(self) -> float:
         """Seconds since this server object was constructed."""
         return time.monotonic() - self.started_at
+
+    def process_request(self, request, client_address) -> None:
+        global_registry().counter("service.http.connections").increment()
+        with self._connections_lock:
+            self._connections.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        with self._connections_lock:
+            self._connections.discard(request)
+        super().shutdown_request(request)
 
     def start_background(self) -> threading.Thread:
         """Run ``serve_forever`` on a daemon thread (tests, embedding)."""
@@ -172,12 +209,24 @@ class ServiceHTTPServer(ThreadingHTTPServer):
         """Graceful shutdown: shed new requests, wait out in-flight ones.
 
         Returns True when in-flight work finished inside ``timeout_s``;
-        either way the server has stopped serving when this returns.
+        either way the server has stopped serving when this returns: the
+        listener is closed and every connection still open has been
+        hung up on.
         """
         self.admission.start_draining()
         drained = self.admission.wait_drained(timeout_s)
         self.shutdown()
         self.server_close()  # close the listener: no half-open backlog
+        # Whatever is still connected is idle between requests (or was
+        # abandoned by the timeout): end its blocked read, so the handler
+        # sees EOF and closes.  A response being written still goes out.
+        with self._connections_lock:
+            survivors = list(self._connections)
+        for connection in survivors:
+            try:
+                connection.shutdown(socket.SHUT_RD)
+            except OSError:
+                pass  # its handler closed it first
         return drained
 
 
@@ -214,13 +263,91 @@ def serve(
     )
 
 
+class _BodyTimeout(ValueError):
+    """The declared request body did not arrive within ``_Handler.timeout``."""
+
+    http_status = 408
+
+
 class _Handler(BaseHTTPRequestHandler):
     server: ServiceHTTPServer
+
+    protocol_version = "HTTP/1.1"
+    #: Seconds a connection may idle between requests, or stall inside a
+    #: request body, before its thread gives up and closes it.
+    timeout = 30.0
+    #: A pipelined second response must not wait out the client's delayed ACK.
+    disable_nagle_algorithm = True
+    #: Bytes of this request's declared body still on the stream.
+    _body_unread = 0
 
     # -- plumbing --------------------------------------------------------
     def log_message(self, format: str, *args: object) -> None:  # noqa: A002
         if not self.server.quiet:
             super().log_message(format, *args)
+
+    def parse_request(self) -> bool:
+        """The stdlib's request-line rules, then a lean header read.
+
+        ``email.parser`` costs ~30 µs for one ``Host:`` line.  This keeps
+        the stdlib's limits and statuses (a line over 65 536 bytes, or
+        more than 100 of them, is a 431) and refuses what would desync a
+        persistent stream: a line without ``:``, whitespace in or before
+        a name (obs-fold included), and a body whose length is ambiguous —
+        conflicting or non-numeric ``Content-Length`` (400),
+        ``Transfer-Encoding`` (411).  ``self.headers`` becomes a dict keyed
+        by lower-cased name; the first occurrence wins, as with ``Message``.
+        """
+        self.close_connection = True
+        self.requestline = line = self.raw_requestline.decode("latin-1").rstrip("\r\n")
+        words = line.split()
+        if not words:
+            return False
+        if len(words) == 2:  # an HTTP/0.9 simple request: answered, then closed
+            words.append("HTTP/0.9")
+        match = len(words) == 3 and _HTTP_VERSION.fullmatch(words[2])
+        if not match:
+            return self.send_error(400, f"Bad request syntax ({line!r})")
+        version = int(match[1]), int(match[2])
+        if version >= (2, 0):
+            return self.send_error(505, f"Invalid HTTP version ({words[2][5:]})")
+        self.command, self.path, self.request_version = words
+        headers = self.headers = {}
+        for _ in range(100):
+            raw = self.rfile.readline(65537)
+            if len(raw) > 65536:
+                return self.send_error(431, "Line too long")
+            if raw in (b"\r\n", b"\n", b""):
+                break
+            name, colon, value = raw.decode("latin-1").partition(":")
+            if not colon or name.split() != [name]:
+                return self.send_error(400, f"Bad header line ({name[:40]!r})")
+            name, value = name.lower(), value.strip(" \t\r\n")
+            if headers.setdefault(name, value) != value and name == "content-length":
+                return self.send_error(400, "Conflicting Content-Length headers")
+        else:
+            return self.send_error(431, "Too many headers")
+        length = headers.get("content-length", "0")
+        if "transfer-encoding" in headers:
+            return self.send_error(411, "Transfer-Encoding unsupported: send a length")
+        if not (length.isascii() and length.isdigit() and len(length) < 19):
+            return self.send_error(400, "Content-Length must be a non-negative integer")
+        self._body_unread = int(length)
+        connection = headers.get("connection", "").lower()
+        self.close_connection = connection != "keep-alive" and (
+            connection == "close" or version < (1, 1)
+        )
+        if headers.get("expect", "").lower() == "100-continue" and version >= (1, 1):
+            return self.handle_expect_100()
+        return True
+
+    def send_error(self, code, message=None, explain=None) -> bool:
+        """Protocol-level refusals (bad request line, 414, 431, 501) in the
+        JSON error shape; the stream is not trusted afterwards.  Returns
+        False, which is what ``parse_request`` owes its caller next."""
+        self.close_connection = True
+        self._error(int(code), message or self.responses[code][0])
+        return False
 
     def _send(
         self,
@@ -229,13 +356,35 @@ class _Handler(BaseHTTPRequestHandler):
         content_type: str,
         extra_headers: dict[str, str] | None = None,
     ) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
+        """Write one response — head and body in a single ``write``.
+
+        The connection survives it only if the next byte on the stream is
+        a request line: the declared body was read and the server is not
+        draining.  Otherwise the client is told, and the loop ends.
+        """
+        if not self.server.quiet:
+            self.log_request(status)
+        if self._body_unread or self.server.admission.draining:
+            self.close_connection = True
+        head = (
+            f"HTTP/1.1 {status} {self.responses[status][0]}\r\n"
+            f"{self._server_date(int(time.time()))}"
+            f"Content-Type: {content_type}\r\nContent-Length: {len(body)}\r\n"
+        )
         for name, value in (extra_headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
+            head += f"{name}: {value}\r\n"
+        if self.close_connection:
+            head += "Connection: close\r\n"
+        self.wfile.write(head.encode("latin-1") + b"\r\n" + body)
+
+    def _server_date(self, second: int) -> str:
+        """The ``Server`` and ``Date`` lines, rendered once per second."""
+        stamp = self.server._head_stamp
+        if stamp[0] != second:
+            lines = f"Server: {self.version_string()}\r\n"
+            lines += f"Date: {self.date_time_string(second)}\r\n"
+            stamp = self.server._head_stamp = (second, lines)
+        return stamp[1]
 
     def _send_json(
         self,
@@ -262,8 +411,12 @@ class _Handler(BaseHTTPRequestHandler):
         )
 
     def _params(self) -> dict[str, str]:
-        query = parse_qs(urlsplit(self.path).query)
-        return {key: values[-1] for key, values in query.items()}
+        """The query string (last value wins), parsed on first use."""
+        params = self._parsed
+        if params is None:
+            query = parse_qs(self._query)
+            params = self._parsed = {k: values[-1] for k, values in query.items()}
+        return params
 
     def _vertex(self, params: dict[str, str], name: str) -> int:
         try:
@@ -300,7 +453,7 @@ class _Handler(BaseHTTPRequestHandler):
         """The request's deadline budget: query param, header, or default."""
         raw = self._params().get("timeout_ms")
         if raw is None:
-            raw = self.headers.get("X-Timeout-Ms")
+            raw = self.headers.get("x-timeout-ms")
         if raw is None:
             return self.server.default_timeout_ms
         try:
@@ -352,15 +505,20 @@ class _Handler(BaseHTTPRequestHandler):
 
     # -- routes ----------------------------------------------------------
     def do_GET(self) -> None:  # noqa: N802 (http.server API)
-        path = urlsplit(self.path).path
-        if path in UNGATED_PATHS:
-            self._safely(lambda: self._route_get(path))
-        else:
-            self._gated(lambda: self._route_get(path))
+        self._dispatch(self._route_get)
 
     def do_POST(self) -> None:  # noqa: N802 (http.server API)
-        path = urlsplit(self.path).path
-        self._gated(lambda: self._route_post(path))
+        self._dispatch(self._route_post)
+
+    def _dispatch(self, route) -> None:
+        """Split the request target once, forget the last request's parsed
+        query (same connection, same handler), run ``route`` behind admission."""
+        path, _, self._query = self.path.partition("?")
+        self._parsed = None
+        if self.command == "GET" and path in UNGATED_PATHS:
+            self._safely(lambda: route(path))
+        else:
+            self._gated(lambda: route(path))
 
     def _route_get(self, path: str) -> None:
         service = self.server.service
@@ -383,6 +541,7 @@ class _Handler(BaseHTTPRequestHandler):
                 "backend": accel.backend_name(),
                 "uptime_s": self.server.uptime_s,
                 "in_flight": admission.in_flight,
+                "open_connections": len(self.server._connections),
             }
             wal_status = service.wal_status()
             if wal_status is not None:
@@ -623,9 +782,13 @@ class _Handler(BaseHTTPRequestHandler):
         return store
 
     def _json_body(self) -> object:
-        length = int(self.headers.get("Content-Length", "0"))
         try:
-            return json.loads(self.rfile.read(length) or b"{}")
+            raw = self.rfile.read(self._body_unread)
+        except TimeoutError:
+            raise _BodyTimeout("timed out waiting for the request body") from None
+        self._body_unread = 0
+        try:
+            return json.loads(raw or b"{}")
         except json.JSONDecodeError as exc:
             raise ValueError(f"invalid JSON body: {exc}") from None
 
