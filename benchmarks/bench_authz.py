@@ -77,8 +77,11 @@ TINY = {
 }
 
 FAMILIES = ("TC", "PLL")
-# Floor: half the --tiny measurement (885 tuples: 6.3x, 6.5x, 6.4x over
-# three runs; the full universe, 22k tuples, measured 6.0x and 6.7x).
+# Floor: half the --tiny measurement when a patch still copied every
+# adjacency row (885 tuples: 6.3x, 6.5x, 6.4x over three runs; the full
+# universe, 22k tuples, 6.0x and 6.7x).  With copy-on-write rows the same
+# runs read 17.5x and 51x; the floor stays where a lost patch path
+# (everything recompiling) would trip it.
 PATCH_SPEEDUP_MIN = 3.0
 NAMESPACE = "bench"
 

@@ -56,8 +56,11 @@ _ZOOKIE_SALT = b"repro-authz-zookie-v1"
 
 #: A write whose effective delta exceeds this fraction of the namespace's
 #: tuple count recompiles instead of patching: a patch pays ~20 µs per op
-#: on top of the structural copies, a recompile ~10 µs per *tuple*, so a
-#: 7k-tuple bulk load must not become 7k patches.  Measured crossover, one
+#: on top of the snapshot copies, a recompile ~10 µs per *tuple*, so a
+#: 7k-tuple bulk load must not become 7k patches.  Measured crossover (with
+#: the row-by-row graph copies of the time; copy-on-write rows since took
+#: those — 3–4.5 ms at N = 7 351 — off every patch figure, which only
+#: lowers these ratios), one
 #: write of k mixed grants/revokes on ``authz_tuples`` namespaces of N
 #: tuples under TC (patch ms / recompile ms, medians of 7): N = 7 351 —
 #: 0.61 at k/N = 0.14, 0.69 at 0.28, 1.20 at 0.56; N = 436 — 0.98 at 0.29;
@@ -352,8 +355,9 @@ class AuthzStore:
     ) -> tuple[AuthzSnapshot | None, str | None]:
         """``(served patched by the effective delta, None)`` or ``(None, reason)``.
 
-        ``served`` is never touched — every container the next snapshot
-        owns is a structural copy, so readers stay lock-free.  A new
+        ``served`` is never touched — the next snapshot's graphs are
+        copy-on-write clones that replace a row before first writing it,
+        its other containers are copies — so readers stay lock-free.  A new
         entity is interned at the end of the id space, which is why a
         patched snapshot's vertex ids differ from a recompile's
         sorted-first-seen ones; ids are internal (answers are names).

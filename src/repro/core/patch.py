@@ -50,16 +50,17 @@ def patched_copy(
     Every rejection that can be decided cheaply — no index, a
     :class:`CondensedIndex` (its SCC map is not maintainable), a family
     the "dynamic" column rules out — happens *before* the
-    ``copy.deepcopy``, which is structural: the graph and 2-hop label
-    containers copy themselves row by row (``__deepcopy__`` is their
-    ``copy()``), so only a family's own nested state is walked object
-    by object.  Per-op validity is the family's own job: a bad vertex,
-    duplicate insert, absent delete or partition-changing op raises out
-    of its maintenance call and the caller takes its rebuild path, which
-    raises the same :class:`~repro.errors.GraphError` a caller would
-    have seen (or condenses).  A successful patch is then probed on
-    ``audit_pairs`` seeded random pairs (0 disables) against the BFS/RPQ
-    oracle; any mismatch discards it (counted under
+    ``copy.deepcopy``, which costs what the family's own state costs:
+    the graph under it is copy-on-write (``__deepcopy__`` is its
+    ``copy()`` — the row tables are copied, every row is shared until
+    the clone's maintenance first writes it), and DAGGER and TC slice
+    their flat tables.  Per-op validity is the family's own job: a bad
+    vertex, duplicate insert, absent delete or partition-changing op
+    raises out of its maintenance call and the caller takes its rebuild
+    path, which raises the same :class:`~repro.errors.GraphError` a
+    caller would have seen (or condenses).  A successful patch is then
+    probed on ``audit_pairs`` seeded random pairs (0 disables) against
+    the BFS/RPQ oracle; any mismatch discards it (counted under
     ``<prefix>.patch_audit.failed``, logged), so a buggy incremental
     maintenance path can never serve a wrong answer.
 

@@ -34,7 +34,15 @@ class DiGraph:
     for reachability and some generators produce them before condensation).
     """
 
-    __slots__ = ("_out", "_in", "_out_sets", "_num_edges", "_version", "_csr_cache")
+    __slots__ = (
+        "_out",
+        "_in",
+        "_out_sets",
+        "_num_edges",
+        "_version",
+        "_csr_cache",
+        "_owned",
+    )
 
     def __init__(self, num_vertices: int, edges: Iterable[tuple[int, int]] = ()) -> None:
         if num_vertices < 0:
@@ -45,6 +53,11 @@ class DiGraph:
         self._num_edges = 0
         self._version = 0  # bumped on every mutation; keys the CSR snapshot cache
         self._csr_cache: object | None = None  # managed by repro.kernels.csr_of
+        # Copy-on-write bookkeeping: ``None`` = built here, every row is
+        # private; after a ``copy()`` the rows this graph has made private
+        # since (``u`` for ``_out[u]``/``_out_sets[u]``, ``~v`` for
+        # ``_in[v]``) — every other row is shared and must not be written.
+        self._owned: set[int] | None = None
         for u, v in edges:
             self.add_edge(u, v)
 
@@ -72,12 +85,20 @@ class DiGraph:
                 yield (u, v)
 
     def out_neighbors(self, v: int) -> list[int]:
-        """Vertices ``w`` with an edge ``v -> w`` (do not mutate)."""
+        """Vertices ``w`` with an edge ``v -> w`` (do not mutate).
+
+        A row reference is not stable across a mutation of the same
+        graph: the first write to a row shared with a copy replaces it.
+        """
         self._check_vertex(v)
         return self._out[v]
 
     def in_neighbors(self, v: int) -> list[int]:
-        """Vertices ``u`` with an edge ``u -> v`` (do not mutate)."""
+        """Vertices ``u`` with an edge ``u -> v`` (do not mutate).
+
+        A row reference is not stable across a mutation of the same
+        graph: the first write to a row shared with a copy replaces it.
+        """
         self._check_vertex(v)
         return self._in[v]
 
@@ -110,7 +131,10 @@ class DiGraph:
         self._in.append([])
         self._out_sets.append(set())
         self._version += 1
-        return len(self._out) - 1
+        vertex = len(self._out) - 1
+        if self._owned is not None:
+            self._owned.update((vertex, ~vertex))
+        return vertex
 
     def add_edge(self, u: int, v: int) -> None:
         """Insert the edge ``u -> v``; raises :class:`EdgeError` if present."""
@@ -118,6 +142,8 @@ class DiGraph:
         self._check_vertex(v)
         if v in self._out_sets[u]:
             raise EdgeError(f"edge ({u}, {v}) already exists")
+        if self._owned is not None:
+            self._own(u, v)
         self._out[u].append(v)
         self._in[v].append(u)
         self._out_sets[u].add(v)
@@ -130,6 +156,8 @@ class DiGraph:
         self._check_vertex(v)
         if v in self._out_sets[u]:
             return False
+        if self._owned is not None:
+            self._own(u, v)
         self._out[u].append(v)
         self._in[v].append(u)
         self._out_sets[u].add(v)
@@ -143,6 +171,8 @@ class DiGraph:
         self._check_vertex(v)
         if v not in self._out_sets[u]:
             raise EdgeError(f"edge ({u}, {v}) does not exist")
+        if self._owned is not None:
+            self._own(u, v)
         self._out[u].remove(v)
         self._in[v].remove(u)
         self._out_sets[u].discard(v)
@@ -162,17 +192,22 @@ class DiGraph:
     def copy(self) -> "DiGraph":
         """An independent copy of this graph, row order preserved.
 
-        Structural: one C-level ``list.copy`` / ``set.copy`` per adjacency
-        row.  The CSR cache is not carried over (the clone starts at
-        version 0, as after unpickling).
+        Copy-on-write at row granularity: only the three outer row
+        tables are copied, every row is shared with the clone, and from
+        here on *both* graphs copy a row the first time they write it
+        (:meth:`_own`), so neither ever sees the other's mutations.  The
+        CSR cache is not carried over (the clone starts at version 0,
+        as after unpickling).
         """
         clone = DiGraph.__new__(DiGraph)
-        clone._out = list(map(list.copy, self._out))
-        clone._in = list(map(list.copy, self._in))
-        clone._out_sets = list(map(set.copy, self._out_sets))
+        clone._out = list(self._out)
+        clone._in = list(self._in)
+        clone._out_sets = list(self._out_sets)
         clone._num_edges = self._num_edges
         clone._version = 0
         clone._csr_cache = None
+        clone._owned = set()
+        self._owned = set()
         return clone
 
     # ------------------------------------------------------------------
@@ -210,7 +245,11 @@ class DiGraph:
         return clone
 
     def __getstate__(self) -> dict[str, object]:
-        """Pickle state: adjacency only, never the CSR cache."""
+        """Pickle state: adjacency only, never the CSR cache or row
+        ownership — pickling writes every row out, so a loaded graph
+        owns them all.  (Pickle a graph and a ``copy()`` of it in
+        separate payloads: inside one, the pickler's memo would keep
+        their common rows common.)"""
         return {
             "_out": self._out,
             "_in": self._in,
@@ -230,6 +269,7 @@ class DiGraph:
         self._num_edges = state["_num_edges"]
         self._version = 0
         self._csr_cache = None
+        self._owned = None
 
     def __repr__(self) -> str:
         return f"DiGraph(|V|={self.num_vertices}, |E|={self.num_edges})"
@@ -240,3 +280,19 @@ class DiGraph:
     def _check_vertex(self, v: int) -> None:
         if not (0 <= v < len(self._out)):
             raise VertexError(f"vertex {v} out of range [0, {len(self._out)})")
+
+    def _own(self, u: int, v: int) -> None:
+        """Make ``u``'s out rows and ``v``'s in row private before a write.
+
+        Every in-place row mutation of a graph that has taken part in a
+        :meth:`copy` runs this first; a row is copied at most once per
+        graph between two copies.
+        """
+        owned = self._owned
+        if u not in owned:
+            owned.add(u)
+            self._out[u] = self._out[u].copy()
+            self._out_sets[u] = self._out_sets[u].copy()
+        if ~v not in owned:
+            owned.add(~v)
+            self._in[v] = self._in[v].copy()

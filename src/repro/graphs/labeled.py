@@ -36,7 +36,15 @@ class LabeledDiGraph:
     ``(u, v, label)`` triple is rejected.
     """
 
-    __slots__ = ("_out", "_in", "_edge_set", "_label_ids", "_label_names", "_num_edges")
+    __slots__ = (
+        "_out",
+        "_in",
+        "_edge_set",
+        "_label_ids",
+        "_label_names",
+        "_num_edges",
+        "_owned",
+    )
 
     def __init__(
         self,
@@ -52,6 +60,10 @@ class LabeledDiGraph:
         self._label_ids: dict[Label, int] = {}
         self._label_names: list[Label] = []
         self._num_edges = 0
+        # Copy-on-write bookkeeping, as in :class:`DiGraph`: ``None`` =
+        # every row is private; else the rows made private since the last
+        # ``copy()`` (``u`` for ``_out[u]``, ``~v`` for ``_in[v]``).
+        self._owned: set[int] | None = None
         for u, v, label in edges:
             self.add_edge(u, v, label)
 
@@ -123,12 +135,20 @@ class LabeledDiGraph:
                 yield (u, v, self._label_names[label_id])
 
     def out_edges(self, v: int) -> list[tuple[int, int]]:
-        """Outgoing ``(neighbor, label_id)`` pairs of ``v`` (do not mutate)."""
+        """Outgoing ``(neighbor, label_id)`` pairs of ``v`` (do not mutate).
+
+        A row reference is not stable across a mutation of the same
+        graph: the first write to a row shared with a copy replaces it.
+        """
         self._check_vertex(v)
         return self._out[v]
 
     def in_edges(self, v: int) -> list[tuple[int, int]]:
-        """Incoming ``(neighbor, label_id)`` pairs of ``v`` (do not mutate)."""
+        """Incoming ``(neighbor, label_id)`` pairs of ``v`` (do not mutate).
+
+        A row reference is not stable across a mutation of the same
+        graph: the first write to a row shared with a copy replaces it.
+        """
         self._check_vertex(v)
         return self._in[v]
 
@@ -162,7 +182,10 @@ class LabeledDiGraph:
         """Append a fresh vertex and return its id."""
         self._out.append([])
         self._in.append([])
-        return len(self._out) - 1
+        vertex = len(self._out) - 1
+        if self._owned is not None:
+            self._owned.update((vertex, ~vertex))
+        return vertex
 
     def add_edge(self, u: int, v: int, label: Label) -> None:
         """Insert ``u -(label)-> v``; raises :class:`EdgeError` if present."""
@@ -172,6 +195,8 @@ class LabeledDiGraph:
         key = (u, v, label_id)
         if key in self._edge_set:
             raise EdgeError(f"edge ({u}, {v}, {label!r}) already exists")
+        if self._owned is not None:
+            self._own(u, v)
         self._out[u].append((v, label_id))
         self._in[v].append((u, label_id))
         self._edge_set.add(key)
@@ -185,6 +210,8 @@ class LabeledDiGraph:
         key = (u, v, label_id) if label_id is not None else None
         if key is None or key not in self._edge_set:
             raise EdgeError(f"edge ({u}, {v}, {label!r}) does not exist")
+        if self._owned is not None:
+            self._own(u, v)
         self._out[u].remove((v, label_id))
         self._in[v].remove((u, label_id))
         self._edge_set.discard(key)
@@ -211,17 +238,21 @@ class LabeledDiGraph:
         """An independent copy of this graph (label ids and row order
         preserved).
 
-        Structural: one C-level ``list.copy`` per adjacency row; the
-        ``(neighbor, label_id)`` pairs, edge keys and label names are
-        immutable and shared.
+        Copy-on-write at row granularity, as :meth:`DiGraph.copy`: the
+        two outer row tables are copied and every row is shared until
+        either graph first writes it (:meth:`_own`).  The flat edge-key
+        set and the label tables are copied whole (one C-level call
+        each; their elements are immutable).
         """
         clone = LabeledDiGraph.__new__(LabeledDiGraph)
-        clone._out = list(map(list.copy, self._out))
-        clone._in = list(map(list.copy, self._in))
+        clone._out = list(self._out)
+        clone._in = list(self._in)
         clone._edge_set = self._edge_set.copy()
         clone._label_ids = self._label_ids.copy()
         clone._label_names = self._label_names[:]
         clone._num_edges = self._num_edges
+        clone._owned = set()
+        self._owned = set()
         return clone
 
     def __deepcopy__(self, memo: dict[int, object]) -> "LabeledDiGraph":
@@ -236,6 +267,33 @@ class LabeledDiGraph:
     def __len__(self) -> int:
         return self.num_vertices
 
+    def __getstate__(self) -> dict[str, object]:
+        """Pickle state: adjacency, edge keys and label tables, never row
+        ownership — pickling writes every row out, so a loaded graph
+        owns them all (one payload per graph, as for :class:`DiGraph`)."""
+        return {
+            "_out": self._out,
+            "_in": self._in,
+            "_edge_set": self._edge_set,
+            "_label_ids": self._label_ids,
+            "_label_names": self._label_names,
+            "_num_edges": self._num_edges,
+        }
+
+    def __setstate__(self, state: object) -> None:
+        # Graphs saved before this class had an explicit state pickle as
+        # the default ``(None, slots)`` tuple; both forms must keep loading.
+        if isinstance(state, tuple):
+            state = state[1] or {}
+        assert isinstance(state, dict)
+        self._out = state["_out"]
+        self._in = state["_in"]
+        self._edge_set = state["_edge_set"]
+        self._label_ids = state["_label_ids"]
+        self._label_names = state["_label_names"]
+        self._num_edges = state["_num_edges"]
+        self._owned = None
+
     def __repr__(self) -> str:
         return (
             f"LabeledDiGraph(|V|={self.num_vertices}, |E|={self.num_edges}, "
@@ -248,3 +306,14 @@ class LabeledDiGraph:
     def _check_vertex(self, v: int) -> None:
         if not (0 <= v < len(self._out)):
             raise VertexError(f"vertex {v} out of range [0, {len(self._out)})")
+
+    def _own(self, u: int, v: int) -> None:
+        """Make ``u``'s out row and ``v``'s in row private before a write
+        (the one place a shared row is replaced; see :meth:`copy`)."""
+        owned = self._owned
+        if u not in owned:
+            owned.add(u)
+            self._out[u] = self._out[u].copy()
+        if ~v not in owned:
+            owned.add(~v)
+            self._in[v] = self._in[v].copy()

@@ -28,7 +28,7 @@ from typing import ClassVar
 
 from repro.core.base import IndexMetadata, ReachabilityIndex, TriState
 from repro.core.registry import register_plain
-from repro.errors import NotADAGError
+from repro.errors import EdgeError, NotADAGError
 from repro.graphs.digraph import DiGraph
 from repro.graphs.topo import topological_order
 from repro.kernels import batch_reachable, csr_of
@@ -156,10 +156,23 @@ class DaggerIndex(ReachabilityIndex):
 
     # -- dynamic maintenance --------------------------------------------------
     def insert_edge(self, source: int, target: int) -> None:
-        """DAG-preserving insert; widen intervals up the ancestor chain."""
-        if bfs_reachable(self._graph, target, source):
+        """DAG-preserving insert; widen intervals up the ancestor chain.
+
+        Refused before anything is mutated when an endpoint is out of
+        range, the edge is present, or it would close a cycle.  The cycle
+        check asks the index first: the interval test is sound for NO
+        even under stale-wide intervals, so ``target`` cannot reach
+        ``source`` whenever it says so and the BFS runs only on MAYBE
+        (about half the inserts of the ledger's stream).
+        """
+        graph = self._graph
+        if graph.has_edge(source, target):  # range-checks both endpoints
+            raise EdgeError(f"edge ({source}, {target}) already exists")
+        if self._lookup(target, source) is not TriState.NO and bfs_reachable(
+            graph, target, source
+        ):
             raise NotADAGError(f"inserting ({source}, {target}) would create a cycle")
-        self._graph.add_edge(source, target)
+        graph.add_edge(source, target)
         queue: deque[int] = deque((source,))
         while queue:
             v = queue.popleft()

@@ -776,10 +776,10 @@ class ReachabilityService:
 
         The patched index is the constrained one in labeled mode, the
         plain one otherwise; :func:`repro.core.patch.patched_copy` is
-        the mechanism (cheap rejections, structural ``copy.deepcopy``,
-        the family's own refusals, the sampled oracle audit), shared
-        with :class:`repro.authz.AuthzStore`.  ``None`` sends the batch
-        down the rebuild path, which raises the same
+        the mechanism (cheap rejections, a ``copy.deepcopy`` whose graph
+        is copy-on-write, the family's own refusals, the sampled oracle
+        audit), shared with :class:`repro.authz.AuthzStore`.  ``None``
+        sends the batch down the rebuild path, which raises the same
         :class:`~repro.errors.GraphError` a caller would have seen (or
         condenses).
         """

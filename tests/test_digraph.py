@@ -102,8 +102,12 @@ class TestDerived:
 
     @pytest.mark.parametrize("clone_of", [DiGraph.copy, copy.deepcopy])
     def test_copy_contract(self, clone_of):
-        """Equal graph, identical row order, nothing shared, no CSR cache."""
+        """Equal graph, identical row order, no CSR cache; rows are shared
+        until one side writes them, and a write never crosses over."""
         from repro.kernels import csr_of
+
+        def rows(g):
+            return g._out + g._in + g._out_sets
 
         # Insertion order differs from sorted order in both _out and _in rows,
         # and a delete leaves a row that re-inserting edges would reorder.
@@ -116,16 +120,51 @@ class TestDerived:
         assert clone._out == graph._out == [[2, 1, 4], [4], [4], [4], []]
         assert clone._in == graph._in and clone._in[4] == [3, 2, 1, 0]
         assert clone._csr_cache is None and graph._csr_cache is not None
-        for mine, theirs in zip(
-            clone._out + clone._in + clone._out_sets,
-            graph._out + graph._in + graph._out_sets,
-        ):
-            assert mine is not theirs
-        clone.remove_edge(0, 2)
-        graph.add_edge(4, 0)
+        assert clone._out is not graph._out and clone._in is not graph._in
+        assert clone._out_sets is not graph._out_sets
+        assert all(mine is theirs for mine, theirs in zip(rows(clone), rows(graph)))
+        # A write on either side makes exactly the rows it touches private.
+        before = rows(graph)
+        clone.remove_edge(0, 2)  # clone writes _out[0], _out_sets[0], _in[2]
+        graph.add_edge(4, 0)  # the source writes _out[4], _out_sets[4], _in[0]
         assert graph.has_edge(0, 2) and not clone.has_edge(4, 0)
         assert (clone.num_edges, graph.num_edges) == (5, 7)
+        assert graph._out == [[2, 1, 4], [4], [4], [4], [0]]
+        assert clone._out == [[1, 4], [4], [4], [4], []]
+        assert graph._in[0] == [4] and clone._in[0] == []
+        assert graph._in[2] == [0] and clone._in[2] == []
+        private = {0, 4, 5 + 0, 5 + 2, 10 + 0, 10 + 4}
+        for i, (mine, theirs) in enumerate(zip(rows(clone), rows(graph))):
+            assert (mine is not theirs) == (i in private)
+        # Rows the source never wrote are still the ones the build made.
+        assert all(
+            row is old for i, (row, old) in enumerate(zip(rows(graph), before))
+            if i not in {4, 5 + 0, 10 + 4}
+        )
+        owned_row = clone._out[0]
+        clone.add_edge(0, 2)  # a second write to an owned row copies nothing
+        assert clone._out[0] is owned_row == [1, 4, 2] and graph._out[0] == [2, 1, 4]
         assert csr_of(clone) is not csr_of(graph)
+
+        # Three deep (a -> b -> c): mutating the middle leaves both ends
+        # intact, and a vertex added to a clone never shows in its source.
+        a = DiGraph(4, [(0, 1), (1, 2), (2, 3)])
+        b = clone_of(a)
+        b.add_edge(0, 2)  # b owns row 0 now ...
+        c = clone_of(b)  # ... and shares it again with c
+        b.add_edge(0, 3)
+        b.remove_edge(1, 2)
+        fresh = b.add_vertex()
+        b.add_edge(fresh, 0)
+        b.add_edge(3, fresh)
+        assert sorted(a.edges()) == [(0, 1), (1, 2), (2, 3)]
+        assert sorted(c.edges()) == [(0, 1), (0, 2), (1, 2), (2, 3)]
+        assert sorted(b.edges()) == [(0, 1), (0, 2), (0, 3), (2, 3), (3, 4), (4, 0)]
+        assert (a.num_vertices, b.num_vertices, c.num_vertices) == (4, 5, 4)
+        assert a._in == [[], [0], [1], [2]] and c._in == [[], [0], [1, 0], [2]]
+        assert b._in == [[4], [0], [0], [2, 0], [3]]
+        for g in (a, b, c):
+            assert [set(row) for row in g._out] == g._out_sets
 
     def test_deepcopy_keeps_one_graph_per_object_graph(self):
         """An index and its wrapper still share *one* graph after deepcopy."""

@@ -94,7 +94,8 @@ class TestDerived:
 
     @pytest.mark.parametrize("clone_of", [LabeledDiGraph.copy, copy.deepcopy])
     def test_copy_contract(self, clone_of):
-        """Same rows in the same order, same label ids, nothing shared."""
+        """Same rows in the same order, same label ids; rows are shared
+        until one side writes them, and a write never crosses over."""
         graph = LabeledDiGraph(4, [(2, 3, "y"), (0, 3, "x"), (0, 1, "y"), (1, 3, "z")])
         graph.remove_edge(1, 3, "z")  # "z" keeps its id with no edge left
         clone = clone_of(graph)
@@ -104,11 +105,49 @@ class TestDerived:
         assert clone._label_ids == graph._label_ids
         assert clone._edge_set == graph._edge_set
         assert clone.num_edges == graph.num_edges == 3
-        clone.add_edge(3, 0, "new")
-        graph.remove_edge(0, 1, "y")
+        assert clone._out is not graph._out and clone._in is not graph._in
+        assert clone._edge_set is not graph._edge_set
+        assert clone._label_ids is not graph._label_ids
+        assert clone._label_names is not graph._label_names
+        assert all(
+            mine is theirs
+            for mine, theirs in zip(clone._out + clone._in, graph._out + graph._in)
+        )
+        clone.add_edge(3, 0, "new")  # clone writes _out[3], _in[0]
+        graph.remove_edge(0, 1, "y")  # the source writes _out[0], _in[1]
         assert not graph.has_edge(3, 0, "new") and graph.num_labels == 3
         assert clone.has_edge(0, 1, "y") and clone.label_id("new") == 3
         assert (clone.num_edges, graph.num_edges) == (4, 2)
+        assert graph._out == [[(3, 1)], [], [(3, 0)], []]
+        assert clone._out == [[(3, 1), (1, 0)], [], [(3, 0)], [(0, 3)]]
+        assert graph._in[0] == [] and clone._in[0] == [(3, 3)]
+        assert graph._in[1] == [] and clone._in[1] == [(0, 0)]
+        private = {0, 3, 4 + 0, 4 + 1}
+        for i, (mine, theirs) in enumerate(
+            zip(clone._out + clone._in, graph._out + graph._in)
+        ):
+            assert (mine is not theirs) == (i in private)
+
+        # Three deep (a -> b -> c): mutating the middle leaves both ends
+        # intact, and a vertex added to a clone never shows in its source.
+        a = LabeledDiGraph(3, [(0, 1, "x"), (1, 2, "y")])
+        b = clone_of(a)
+        b.add_edge(0, 2, "x")  # b owns row 0 now ...
+        c = clone_of(b)  # ... and shares it again with c
+        b.add_edge(0, 1, "y")
+        b.remove_edge(1, 2, "y")
+        fresh = b.add_vertex()
+        b.add_edge(fresh, 0, "z")
+        assert sorted(a.edges()) == [(0, 1, "x"), (1, 2, "y")]
+        assert sorted(c.edges()) == [(0, 1, "x"), (0, 2, "x"), (1, 2, "y")]
+        assert sorted(b.edges()) == [
+            (0, 1, "x"), (0, 1, "y"), (0, 2, "x"), (3, 0, "z"),
+        ]
+        assert (a.num_vertices, b.num_vertices, c.num_vertices) == (3, 4, 3)
+        assert a._in == [[], [(0, 0)], [(1, 1)]]
+        assert c._in == [[], [(0, 0)], [(1, 1), (0, 0)]]
+        assert b._in == [[(3, 2)], [(0, 0), (0, 1)], [(0, 0)], []]
+        assert (a.num_labels, b.num_labels, c.num_labels) == (2, 3, 2)
 
     def test_deepcopy_keeps_one_graph_per_object_graph(self, labeled_graph):
         holder = {"index": [labeled_graph], "wrapper": (labeled_graph, "meta")}

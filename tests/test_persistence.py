@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.core.condensed import CondensedIndex
 from repro.core.registry import labeled_index, plain_index
+from repro.graphs.digraph import DiGraph
 from repro.graphs.generators import (
     cyclic_communities,
     random_dag,
     random_labeled_digraph,
 )
+from repro.graphs.labeled import LabeledDiGraph
 from repro.persistence import (
     PersistenceError,
     load_index,
@@ -86,6 +90,92 @@ def test_dynamic_index_usable_after_load(tmp_path):
                 assert loaded.query(u, v)
                 return
     pytest.fail("no insertable edge found")
+
+
+class _PicklesLike:
+    """Pickles to what a slotted ``cls`` without ``__getstate__`` wrote:
+    a blank ``cls.__new__(cls)`` plus the default ``(None, {slot: value})``
+    state (the pickler refuses ``copyreg.__newobj__`` on a stand-in)."""
+
+    def __init__(self, cls: type, slots: dict[str, object]) -> None:
+        self.cls, self.slots = cls, slots
+
+    def __reduce__(self):
+        return (_blank, (self.cls,), (None, self.slots))
+
+
+def _blank(cls: type) -> object:
+    return cls.__new__(cls)
+
+
+_GRAPH_CASES = {
+    "DiGraph": (
+        DiGraph,
+        {
+            "_out": [[2, 1], [2], []],
+            "_in": [[], [0], [0, 1]],
+            "_out_sets": [{1, 2}, {2}, set()],
+            "_num_edges": 3,
+        },
+        [(0, 1), (0, 2), (1, 2)],
+        (2, 0),
+    ),
+    "LabeledDiGraph": (
+        LabeledDiGraph,
+        {
+            "_out": [[(2, 0), (1, 1)], [(2, 0)], []],
+            "_in": [[], [(0, 1)], [(0, 0), (1, 0)]],
+            "_edge_set": {(0, 2, 0), (0, 1, 1), (1, 2, 0)},
+            "_label_ids": {"x": 0, "y": 1},
+            "_label_names": ["x", "y"],
+            "_num_edges": 3,
+        },
+        [(0, 1, "y"), (0, 2, "x"), (1, 2, "x")],
+        (2, 0, "z"),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", _GRAPH_CASES)
+class TestGraphPickles:
+    """Row ownership is never pickled: whatever form the state takes, a
+    loaded graph owns every row and shares none with anything live."""
+
+    def test_legacy_slot_state_loads_mutates_and_round_trips(self, case):
+        cls, slots, edges, extra = _GRAPH_CASES[case]
+        loaded = pickle.loads(pickle.dumps(_PicklesLike(cls, slots)))
+        assert type(loaded) is cls and loaded._owned is None
+        assert sorted(loaded.edges()) == edges and loaded.num_edges == 3
+        loaded.add_edge(*extra)
+        loaded.remove_edge(*edges[0])
+        fresh = loaded.add_vertex()
+        loaded.add_edge(fresh, *extra[1:])
+        expected = sorted(edges[1:] + [extra, (fresh, *extra[1:])])
+        assert sorted(loaded.edges()) == expected
+        state = loaded.__getstate__()
+        assert isinstance(state, dict) and "_owned" not in state
+        again = pickle.loads(pickle.dumps(loaded))
+        assert again._owned is None and again.num_vertices == 4
+        assert sorted(again.edges()) == expected
+        assert again._out == loaded._out and again._in == loaded._in
+        again.remove_edge(*extra)
+        assert loaded.has_edge(*extra) and not again.has_edge(*extra)
+
+    def test_pickled_while_sharing_rows_unpickles_independent(self, case):
+        cls, _slots, edges, extra = _GRAPH_CASES[case]
+        source = cls(3, edges)
+        sibling = source.copy()
+        assert sibling._owned == set() and sibling._out[0] is source._out[0]
+        loaded = pickle.loads(pickle.dumps(sibling))
+        assert loaded._owned is None
+        live = {id(row) for g in (source, sibling) for row in g._out + g._in}
+        assert not live & {id(row) for row in loaded._out + loaded._in}
+        loaded.add_edge(*extra)
+        loaded.remove_edge(*edges[0])
+        sibling.remove_edge(*edges[1])
+        assert sorted(source.edges()) == edges
+        assert sorted(sibling.edges()) == [edges[0], edges[2]]
+        assert sorted(loaded.edges()) == sorted(edges[1:] + [extra])
 
 
 class TestErrorPaths:

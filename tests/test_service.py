@@ -502,13 +502,114 @@ def _run_hammer(service, epoch_graphs, readers, queries_per_reader, check):
     return threads, errors
 
 
+def _model_reaches(edges, source, target) -> bool:
+    """BFS over a plain set of ``(u, v)`` pairs — no graph object involved,
+    so a row two graphs wrongly share cannot hide in the oracle too."""
+    successors: dict = {}
+    for u, v in edges:
+        successors.setdefault(u, []).append(v)
+    seen, stack = {source}, [source]
+    while stack:
+        for w in successors.get(stack.pop(), ()):
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return target in seen
+
+
+class TestPinnedEpochsSurviveLaterWrites:
+    """Copy-on-write rows, seen from above: a snapshot pinned at epoch *e*
+    — or captured by ``checkpoint_state()`` — shares rows with every later
+    epoch and must keep answering for *e* however many patches follow."""
+
+    @pytest.mark.parametrize("index", ["DAGGER", "TC"])
+    def test_service_snapshots_and_checkpoint_capture(self, index):
+        import pickle
+        import random
+
+        from repro.graphs.digraph import DiGraph
+        from repro.wal.recovery import checkpoint_payload
+
+        graph = random_dag(40, 90, seed=611)
+        n = graph.num_vertices
+        stream = update_stream(graph, 220, seed=612, keep_acyclic=True)
+        rng = random.Random(613)
+        sample = [(rng.randrange(n), rng.randrange(n)) for _ in range(80)]
+        service = ReachabilityService(graph, index=index)
+        model = set(graph.edges())
+        pinned = [(service.acquire(), frozenset(model))]
+        captured = None
+        for epoch, op in enumerate(stream, start=1):
+            service.apply_updates([op])
+            edit = model.add if op.kind == "insert" else model.discard
+            edit((op.source, op.target))
+            if epoch % 10 == 0:
+                pinned.append((service.acquire(), frozenset(model)))
+            if epoch == len(stream) // 2:
+                captured = (service.checkpoint_state(), frozenset(model))
+        counters = service.metrics_dict()["service"]
+        assert (counters["patches"], counters["rebuilds"]) == (len(stream), 0)
+        assert counters["patch_audit"]["failed"] == 0
+        for snap, edges in pinned:
+            assert snap.plain.graph is snap.graph
+            assert set(snap.graph.edges()) == edges
+            assert snap.graph.num_edges == len(edges)
+            for s, t in sample:
+                expected = _model_reaches(edges, s, t)
+                assert snap.plain.query(s, t) == expected, (snap.epoch, s, t)
+        # The capture is pickled only now, 110 patches after it was taken.
+        state, edges = captured
+        restored = pickle.loads(checkpoint_payload(state, {}))["service"]
+        assert restored["epoch"] == len(stream) // 2
+        assert restored["graph"] == DiGraph(n, sorted(edges))
+        assert restored["graph"].num_edges == len(edges)
+
+    def test_authz_snapshots(self):
+        from repro.authz import AuthzStore
+        from repro.obs.metrics import global_registry
+        from repro.workloads.authz import authz_tuples
+        from repro.workloads.updates import tuple_churn_stream
+
+        base = authz_tuples(30, 6, 30, seed=621)
+        store = AuthzStore("TC")
+        store.write("acme", writes=base)
+        patches0 = global_registry().counter("authz.patches").value
+        model = set(base)
+        names = sorted({name for t in base for name in (t.subject, t.object)})
+        sample = [(a, b) for a in names[::3] for b in names[1::4]]
+        pinned = [(store.snapshot("acme"), frozenset(model))]
+        for epoch, op in enumerate(tuple_churn_stream(base, 260, seed=622), start=2):
+            store.apply_updates("acme", [op])
+            edit = model.add if op.kind == "grant" else model.discard
+            edit(op.tuple())
+            if epoch % 10 == 0:
+                pinned.append((store.snapshot("acme"), frozenset(model)))
+        assert global_registry().counter("authz.patches").value - patches0 >= 200
+        for snap, tuples in pinned:
+            assert snap.tuples == tuples and snap.index.graph is snap.plain
+            assert {
+                (snap.entities[u], label, snap.entities[v])
+                for u, v, label in snap.graph.edges()
+            } == {(t.subject, t.relation, t.object) for t in tuples}
+            edges = {(t.subject, t.object) for t in tuples}
+            assert {
+                (snap.entities[u], snap.entities[v]) for u, v in snap.plain.edges()
+            } == edges
+            ids = snap.entity_ids
+            for a, b in sample:
+                if a in ids and b in ids:
+                    expected = _model_reaches(edges, a, b)
+                    assert snap.index.query(ids[a], ids[b]) == expected, (snap.epoch, a, b)
+
+
 class TestSnapshotIsolationHammer:
     """The ISSUE acceptance test: concurrent readers vs a batching writer."""
 
-    @pytest.mark.parametrize("index", ["GRAIL", "TC"])  # rebuild vs patch paths
+    # rebuild vs patch paths (DAGGER can only follow a DAG-preserving stream)
+    @pytest.mark.parametrize("index", ["GRAIL", "TC", "DAGGER"])
     def test_plain_hammer(self, index):
         graph = random_dag(50, 120, seed=601)
-        stream = update_stream(graph, 40, seed=602)
+        stream = update_stream(graph, 40, seed=602, keep_acyclic=index == "DAGGER")
         batches = [stream[i : i + 8] for i in range(0, 40, 8)]
         # Per-epoch oracle graphs: epoch e == first e batches applied.
         epoch_graphs = [graph.copy()]
@@ -541,6 +642,8 @@ class TestSnapshotIsolationHammer:
         assert metrics["service"]["swaps"] == len(batches)
         assert metrics["cache"]["invalidation_cycles"] == len(batches)
         assert metrics["service"]["updates_applied"] == sum(len(b) for b in batches)
+        if index == "DAGGER":
+            assert metrics["service"]["patches"] == len(batches)
 
     def test_labeled_hammer(self):
         graph = random_labeled_digraph(30, 80, ["a", "b", "c"], seed=603)

@@ -10,13 +10,25 @@ these machines are built to catch.
 
 from __future__ import annotations
 
+import copy
+from dataclasses import dataclass
+
+import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, precondition, rule
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    invariant,
+    precondition,
+    rule,
+    run_state_machine_as_test,
+)
 
 from repro.core.registry import plain_index
-from repro.errors import UnsupportedOperationError
+from repro.errors import EdgeError, UnsupportedOperationError
+from repro.graphs.digraph import DiGraph
 from repro.graphs.generators import gnp_digraph, random_dag
+from repro.graphs.labeled import LabeledDiGraph
 from repro.traversal.online import bfs_reachable
 
 N = 14
@@ -183,3 +195,167 @@ TestDLCRMachine = _DLCRMachine.TestCase
 TestDLCRMachine.settings = settings(
     max_examples=10, stateful_step_count=20, deadline=None
 )
+
+
+@dataclass
+class _Member:
+    """One graph of the forest beside its plain-Python model."""
+
+    graph: DiGraph | LabeledDiGraph
+    n: int
+    edges: list[tuple]  # live edges, insertion order
+    labels: list[str]  # first-seen order (labeled graphs only)
+
+    def twin(self, graph) -> "_Member":
+        return _Member(graph, self.n, list(self.edges), list(self.labels))
+
+
+class _CowForestMachine(RuleBasedStateMachine):
+    """Copy-on-write rows: a forest of graphs derived from one another by
+    ``copy()``/``copy.deepcopy``, every member beside its own model.
+
+    The model is plain Python — a vertex count, the live edges in
+    insertion order and (labeled) the labels in first-seen order — never
+    a graph object, so a row that two members wrongly share cannot hide
+    in the oracle as well.  Row order is part of the contract: a row is
+    the surviving edges of its vertex in insertion order.
+    """
+
+    graph_cls: type = DiGraph
+    MAX_MEMBERS = 6
+    MAX_VERTICES = 9
+    LABELS = ("a", "b", "c")
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.labeled = self.graph_cls is LabeledDiGraph
+        seed = [(0, 1), (1, 2), (0, 2), (3, 1)]
+        if self.labeled:
+            seed = [(u, v, self.LABELS[i % 2]) for i, (u, v) in enumerate(seed)]
+        self.members = [_Member(self.graph_cls(5, seed), 5, list(seed), ["a", "b"])]
+
+    def _member(self, pick: int) -> _Member:
+        return self.members[pick % len(self.members)]
+
+    def _edge(self, member: _Member, u: int, v: int, label: str) -> tuple:
+        pair = (u % member.n, v % member.n)
+        return (*pair, label) if self.labeled else pair
+
+    @precondition(lambda self: len(self.members) < self.MAX_MEMBERS)
+    @rule(pick=st.integers(0, 100), deep=st.booleans())
+    def clone(self, pick: int, deep: bool) -> None:
+        member = self._member(pick)
+        graph = member.graph
+        self.members.append(member.twin(copy.deepcopy(graph) if deep else graph.copy()))
+
+    @precondition(lambda self: len(self.members) > 1)
+    @rule(pick=st.integers(0, 100))
+    def drop(self, pick: int) -> None:
+        del self.members[pick % len(self.members)]
+
+    @rule(
+        pick=st.integers(0, 100),
+        u=st.integers(0, 100),
+        v=st.integers(0, 100),
+        label=st.sampled_from(LABELS),
+    )
+    def add_edge(self, pick: int, u: int, v: int, label: str) -> None:
+        member = self._member(pick)
+        edge = self._edge(member, u, v, label)
+        if edge in member.edges:
+            with pytest.raises(EdgeError):
+                member.graph.add_edge(*edge)
+            return
+        member.graph.add_edge(*edge)
+        member.edges.append(edge)
+        if self.labeled and label not in member.labels:
+            member.labels.append(label)
+
+    @precondition(lambda self: not self.labeled)
+    @rule(pick=st.integers(0, 100), u=st.integers(0, 100), v=st.integers(0, 100))
+    def add_edge_if_absent(self, pick: int, u: int, v: int) -> None:
+        member = self._member(pick)
+        edge = self._edge(member, u, v, "")
+        absent = edge not in member.edges
+        assert member.graph.add_edge_if_absent(*edge) == absent
+        if absent:
+            member.edges.append(edge)
+
+    @rule(
+        pick=st.integers(0, 100),
+        u=st.integers(0, 100),
+        v=st.integers(0, 100),
+        label=st.sampled_from(LABELS),
+        existing=st.booleans(),
+    )
+    def remove_edge(
+        self, pick: int, u: int, v: int, label: str, existing: bool
+    ) -> None:
+        member = self._member(pick)
+        if existing and member.edges:
+            edge = member.edges[u % len(member.edges)]
+        else:
+            edge = self._edge(member, u, v, label)
+        if edge not in member.edges:
+            with pytest.raises(EdgeError):
+                member.graph.remove_edge(*edge)
+            return
+        member.graph.remove_edge(*edge)
+        member.edges.remove(edge)
+
+    @rule(pick=st.integers(0, 100))
+    def add_vertex(self, pick: int) -> None:
+        member = self._member(pick)
+        if member.n < self.MAX_VERTICES:
+            assert member.graph.add_vertex() == member.n
+            member.n += 1
+
+    @invariant()
+    def every_member_matches_its_own_model(self) -> None:
+        for member in self.members:
+            graph, n, edges = member.graph, member.n, member.edges
+            assert graph.num_vertices == n and graph.num_edges == len(edges)
+            assert sorted(graph.edges()) == sorted(edges)
+            if self.labeled:
+                assert graph.labels() == member.labels
+                lid = member.labels.index
+                # rows hold (neighbor, label_id) pairs
+                out = [(u, (v, lid(label))) for u, v, label in edges]
+                inn = [(v, (u, lid(label))) for u, v, label in edges]
+                assert graph._edge_set == {(u, v, lid(label)) for u, v, label in edges}
+            else:
+                out = list(edges)
+                inn = [(v, u) for u, v in edges]
+                assert graph._out_sets == [set(row) for row in graph._out]
+            assert graph._out == [[x for at, x in out if at == u] for u in range(n)]
+            assert graph._in == [[x for at, x in inn if at == v] for v in range(n)]
+
+
+def _cow_machine_for(graph_cls: type) -> type:
+    name = f"CowForest_{graph_cls.__name__}"
+    return type(name, (_CowForestMachine,), {"graph_cls": graph_cls})
+
+
+_COW_SETTINGS = settings(
+    max_examples=60,
+    stateful_step_count=30,
+    deadline=None,
+    derandomize=True,
+    database=None,
+)
+
+TestCowDiGraphMachine = _cow_machine_for(DiGraph).TestCase
+TestCowDiGraphMachine.settings = _COW_SETTINGS
+
+TestCowLabeledDiGraphMachine = _cow_machine_for(LabeledDiGraph).TestCase
+TestCowLabeledDiGraphMachine.settings = _COW_SETTINGS
+
+
+@pytest.mark.parametrize("graph_cls", [DiGraph, LabeledDiGraph])
+def test_cow_machine_fails_when_a_mutator_forgets_to_own(graph_cls, monkeypatch):
+    """The safety net has teeth: with ``_own`` a no-op, a write lands in a
+    row some other member still shares, and the machine must notice."""
+    monkeypatch.setattr(graph_cls, "_own", lambda self, u, v: None)
+    one_failure = settings(_COW_SETTINGS, report_multiple_bugs=False)
+    with pytest.raises(AssertionError):
+        run_state_machine_as_test(_cow_machine_for(graph_cls), settings=one_failure)
